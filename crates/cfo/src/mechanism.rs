@@ -43,6 +43,10 @@ fn input_err(e: CfoError) -> CoreError {
     CoreError::InvalidInput(e.to_string())
 }
 
+fn protocol_mismatch() -> CoreError {
+    CoreError::InvalidReport("adaptive report protocol does not match the selected oracle".into())
+}
+
 /// Per-value report counts: the streaming state of GRR and OUE.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CountState {
@@ -227,7 +231,7 @@ impl Mechanism for Olh {
                 self.hash_range()
             )));
         }
-        self.add_support(&mut state.support, report);
+        self.add_support(&mut state.support, std::slice::from_ref(report));
         state.n += 1;
         Ok(())
     }
@@ -244,7 +248,7 @@ impl Mechanism for Olh {
                 reports[bad].y
             )));
         }
-        self.add_support_slice(&mut state.support, reports);
+        self.add_support(&mut state.support, reports);
         state.n += reports.len() as u64;
         Ok(())
     }
@@ -599,9 +603,30 @@ impl Mechanism for AdaptiveOracle {
             (AdaptiveOracle::Olh(o), AdaptiveState::Olh(s), AdaptiveReport::Olh(r)) => {
                 o.absorb(s, r)
             }
-            _ => Err(CoreError::InvalidReport(
-                "adaptive report protocol does not match the selected oracle".into(),
-            )),
+            _ => Err(protocol_mismatch()),
+        }
+    }
+
+    /// OLH reports are unwrapped (every tag checked before any is
+    /// absorbed) and walked in one [`Olh`] bulk pass; GRR keeps the
+    /// report-at-a-time loop.
+    fn absorb_slice(
+        &self,
+        state: &mut AdaptiveState,
+        reports: &[AdaptiveReport],
+    ) -> Result<(), CoreError> {
+        match (self, state) {
+            (AdaptiveOracle::Olh(o), AdaptiveState::Olh(s)) => {
+                let olh = reports
+                    .iter()
+                    .map(|r| match r {
+                        AdaptiveReport::Olh(r) => Ok(*r),
+                        AdaptiveReport::Grr(_) => Err(protocol_mismatch()),
+                    })
+                    .collect::<Result<Vec<OlhReport>, _>>()?;
+                o.absorb_slice(s, &olh)
+            }
+            (_, state) => reports.iter().try_for_each(|r| self.absorb(state, r)),
         }
     }
 
@@ -675,6 +700,14 @@ impl Mechanism for BinningEstimator {
 
     fn absorb(&self, state: &mut AdaptiveState, report: &AdaptiveReport) -> Result<(), CoreError> {
         self.oracle().absorb(state, report)
+    }
+
+    fn absorb_slice(
+        &self,
+        state: &mut AdaptiveState,
+        reports: &[AdaptiveReport],
+    ) -> Result<(), CoreError> {
+        self.oracle().absorb_slice(state, reports)
     }
 
     fn merge_state(

@@ -15,9 +15,12 @@
 use crate::error::CfoError;
 use crate::oracle::{check_value, FrequencyOracle};
 use ldp_core::{Domain, Epsilon};
+use ldp_numeric::kernels::{self, ModReducer};
 use ldp_numeric::rng::mix64;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 
 /// A single OLH report: the user's hash seed and the GRR-perturbed hashed
 /// value.
@@ -30,13 +33,29 @@ pub struct OlhReport {
 }
 
 /// The OLH frequency oracle.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Olh {
     d: usize,
     eps: f64,
     g: usize,
     /// GRR keep-probability over the hashed domain.
     p: f64,
+    /// `% g` for the support walk (a mask when `g` is a power of two).
+    reducer: ModReducer,
+    /// `mix64(v)` for every domain value `v`: the report-independent inner
+    /// hash of [`olh_hash`], built once per oracle and shared by clones.
+    value_mix: Arc<[u64]>,
+}
+
+impl fmt::Debug for Olh {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Olh")
+            .field("d", &self.d)
+            .field("eps", &self.eps)
+            .field("g", &self.g)
+            .field("p", &self.p)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Evaluates the OLH hash family: maps `value` into `{0, …, g-1}` under
@@ -57,19 +76,31 @@ impl Olh {
         Self::with_hash_range(d, eps, g)
     }
 
-    /// Creates an OLH oracle with an explicit hash range `g >= 2`
-    /// (exposed for the ablation benches).
+    /// Creates an OLH oracle with an explicit hash range
+    /// `2 <= g <= u32::MAX` (exposed for the ablation benches); the upper
+    /// bound is the range of a report's hashed value [`OlhReport::y`].
     pub fn with_hash_range(d: usize, eps: f64, g: usize) -> Result<Self, CfoError> {
         Domain::new(d)?;
         Epsilon::new(eps)?;
-        if g < 2 {
-            return Err(CfoError::InvalidParameter(format!(
-                "hash range g must be at least 2, got {g}"
-            )));
-        }
+        let g32 = match u32::try_from(g) {
+            Ok(g32) if g32 >= 2 => g32,
+            _ => {
+                return Err(CfoError::InvalidParameter(format!(
+                    "hash range g must be in 2..={}, got {g}",
+                    u32::MAX
+                )))
+            }
+        };
         let e = eps.exp();
         let p = e / (e + g as f64 - 1.0);
-        Ok(Olh { d, eps, g, p })
+        Ok(Olh {
+            d,
+            eps,
+            g,
+            p,
+            reducer: ModReducer::new(g32),
+            value_mix: (0..d as u64).map(mix64).collect(),
+        })
     }
 
     /// The hash range g.
@@ -85,40 +116,14 @@ impl Olh {
         4.0 * e / ((e - 1.0) * (e - 1.0) * n as f64)
     }
 
-    /// Adds one report's support pattern to per-value support counts — the
-    /// O(d) inversion step shared by one-shot aggregation and streaming
-    /// absorption.
-    pub(crate) fn add_support(&self, support: &mut [u64], report: &OlhReport) {
-        for (v, s) in support.iter_mut().enumerate() {
-            if olh_hash(report.seed, v, self.g) == report.y {
-                *s += 1;
-            }
-        }
-    }
-
-    /// Bulk [`Olh::add_support`]: hoists the report-independent inner hash
-    /// `mix64(v)` out of the per-report scan (it is recomputed `d` times
-    /// per report on the serial path) and runs a 4-wide branch-free
-    /// unrolled match loop. Exact u64 additions in the same per-report
-    /// order — bit-identical to serial absorption.
-    pub(crate) fn add_support_slice(&self, support: &mut [u64], reports: &[OlhReport]) {
-        let value_mix: Vec<u64> = (0..support.len()).map(|v| mix64(v as u64)).collect();
-        let g = self.g as u64;
-        for report in reports {
-            let seed = report.seed;
-            let y = report.y;
-            let mut counts = support.chunks_exact_mut(4);
-            let mut mixes = value_mix.chunks_exact(4);
-            for (s4, m4) in (&mut counts).zip(&mut mixes) {
-                s4[0] += u64::from((mix64(seed ^ m4[0]) % g) as u32 == y);
-                s4[1] += u64::from((mix64(seed ^ m4[1]) % g) as u32 == y);
-                s4[2] += u64::from((mix64(seed ^ m4[2]) % g) as u32 == y);
-                s4[3] += u64::from((mix64(seed ^ m4[3]) % g) as u32 == y);
-            }
-            for (s, m) in counts.into_remainder().iter_mut().zip(mixes.remainder()) {
-                *s += u64::from((mix64(seed ^ m) % g) as u32 == y);
-            }
-        }
+    /// Adds every report's support pattern to per-value support counts —
+    /// the O(d) inversion step shared by one-shot aggregation and both
+    /// streaming absorb paths, one [`kernels::hash_support`] walk over the
+    /// cached `mix64(v)` table. It equals an [`olh_hash`] reference loop
+    /// bit for bit.
+    pub(crate) fn add_support(&self, support: &mut [u64], reports: &[OlhReport]) {
+        let pairs = reports.iter().map(|r| (r.seed, r.y));
+        kernels::hash_support(support, &self.value_mix, pairs, self.reducer);
     }
 
     /// Debiases support counts into frequency estimates; shared by both
@@ -165,9 +170,7 @@ impl FrequencyOracle for Olh {
 
     fn aggregate(&self, reports: &[OlhReport]) -> Vec<f64> {
         let mut support = vec![0u64; self.d];
-        for r in reports {
-            self.add_support(&mut support, r);
-        }
+        self.add_support(&mut support, reports);
         self.estimate_from_support(&support, reports.len() as u64)
     }
 
@@ -186,9 +189,23 @@ mod tests {
         assert!(Olh::new(1, 1.0).is_err());
         assert!(Olh::new(16, -1.0).is_err());
         assert!(Olh::with_hash_range(16, 1.0, 1).is_err());
+        assert!(Olh::with_hash_range(16, 1.0, u32::MAX as usize).is_ok());
         let o = Olh::new(16, 1.0).unwrap();
         // g = round(e) + 1 = 4.
         assert_eq!(o.hash_range(), 4);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn hash_range_beyond_u32_is_rejected() {
+        // A report's hashed value is a u32; larger ranges used to truncate
+        // in `randomize` and underflow at g = 2^32.
+        for g in [u32::MAX as usize + 1, u32::MAX as usize + 2, usize::MAX] {
+            match Olh::with_hash_range(16, 1.0, g) {
+                Err(CfoError::InvalidParameter(msg)) => assert!(msg.contains("hash range")),
+                other => panic!("g = {g}: expected InvalidParameter, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub trait Mechanism {
     fn absorb(&self, state: &mut Self::State, report: &Self::Report) -> Result<(), CoreError>;
 
     /// Bulk ingestion; mechanisms may override with a vectorized path.
-    /// On error the state may have absorbed a prefix of the slice; callers
+    /// On error the state may have absorbed part of the slice; callers
     /// that need all-or-nothing semantics should validate first or discard
     /// the state on failure (which is what [`Aggregator::push_slice`] does).
     fn absorb_slice(

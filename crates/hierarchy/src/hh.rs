@@ -131,18 +131,19 @@ impl HierarchicalHistogram {
         }
 
         // Randomize each level's group in order (the same RNG stream as
-        // `FrequencyOracle::run`), absorbing reports into the streaming
-        // state; the estimation itself — per-level debiasing, empty-level
-        // uniform fallback, variance bookkeeping — is one routine shared
-        // with `ldp_core::Mechanism::finalize`, so the batch and streaming
-        // paths cannot drift.
+        // `FrequencyOracle::run`), then absorb the group in one bulk pass
+        // into the streaming state; the estimation itself — per-level
+        // debiasing, empty-level uniform fallback, variance bookkeeping —
+        // is one routine shared with `ldp_core::Mechanism::finalize`, so
+        // the batch and streaming paths cannot drift.
         let mut state = Mechanism::empty_state(self);
         for (level, group) in per_level.iter().enumerate().skip(1) {
             let oracle = self.level_oracle(level);
-            for &v in group {
-                let report = FrequencyOracle::randomize(oracle, v, rng)?;
-                Mechanism::absorb(oracle, state.level_mut(level), &report)?;
-            }
+            let reports = group
+                .iter()
+                .map(|&v| FrequencyOracle::randomize(oracle, v, rng))
+                .collect::<Result<Vec<_>, _>>()?;
+            Mechanism::absorb_slice(oracle, state.level_mut(level), &reports)?;
         }
         Ok(Mechanism::finalize(self, &state)?)
     }

@@ -67,6 +67,20 @@ impl HhState {
     }
 }
 
+impl HierarchicalHistogram {
+    /// The report's tree level, if it lies in `1..=height`.
+    fn check_level(&self, report: &HhReport) -> Result<usize, CoreError> {
+        let level = report.level as usize;
+        let h = self.shape().height();
+        if level == 0 || level > h {
+            return Err(CoreError::InvalidReport(format!(
+                "HH report level {level} outside 1..={h}"
+            )));
+        }
+        Ok(level)
+    }
+}
+
 impl Mechanism for HierarchicalHistogram {
     type Input = usize;
     type Report = HhReport;
@@ -120,15 +134,29 @@ impl Mechanism for HierarchicalHistogram {
     }
 
     fn absorb(&self, state: &mut HhState, report: &HhReport) -> Result<(), CoreError> {
-        let level = report.level as usize;
-        if level == 0 || level > self.shape().height() {
-            return Err(CoreError::InvalidReport(format!(
-                "HH report level {level} outside 1..={}",
-                self.shape().height()
-            )));
-        }
+        let level = self.check_level(report)?;
         self.level_oracle(level)
             .absorb(&mut state.levels[level - 1], &report.report)
+    }
+
+    /// Checks every report's level, then groups the reports by level and
+    /// hands each group to that level's oracle in one bulk pass (OLH
+    /// levels walk the support table once per group instead of once per
+    /// report). Per-level absorption is exact integer counting, so this
+    /// equals the report-at-a-time loop bit for bit.
+    fn absorb_slice(&self, state: &mut HhState, reports: &[HhReport]) -> Result<(), CoreError> {
+        for report in reports {
+            self.check_level(report)?;
+        }
+        let mut groups = vec![Vec::new(); self.shape().height()];
+        for report in reports {
+            groups[report.level as usize - 1].push(report.report);
+        }
+        for (level, group) in groups.iter().enumerate() {
+            self.level_oracle(level + 1)
+                .absorb_slice(&mut state.levels[level], group)?;
+        }
+        Ok(())
     }
 
     fn merge_state(&self, state: &mut HhState, other: &HhState) -> Result<(), CoreError> {

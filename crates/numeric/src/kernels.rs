@@ -2,8 +2,10 @@
 //!
 //! Every hot absorption loop in the workspace funnels through this module:
 //! the SW band-edge dot products ([`dot4`]), the SW report-bucketing pass
-//! ([`first_out_of_range`] + [`bucket_histogram`]), and the OUE bit-count
-//! accumulation ([`bitcount_rows`]). Each kernel has
+//! ([`first_out_of_range`] + [`bucket_histogram`]), the OUE bit-count
+//! accumulation ([`bitcount_rows`]), and the OLH support walk
+//! ([`hash_support`], reducing `% g` through [`ModReducer`]). Each kernel
+//! has
 //!
 //! - a **scalar reference** implementation — the semantics, always compiled,
 //!   always available;
@@ -30,6 +32,7 @@
 //! `unsafe` block is a `#[target_feature(enable = "avx2")]` intrinsic
 //! routine reached strictly behind the runtime detection check.
 
+use crate::rng::mix64;
 use std::sync::OnceLock;
 
 /// Environment variable that forces every kernel onto its scalar
@@ -275,6 +278,117 @@ fn extract_counter_bits(dst: &mut [u64], ones: u64, twos: u64, fours: u64) {
 }
 
 // ---------------------------------------------------------------------------
+// Exact modular reduction + hash-support walk (OLH absorption)
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reduction {
+    /// `g` is a power of two: `x & mask`.
+    Mask(u64),
+    /// Any other `g`: the hardware `x % g`.
+    Rem(u64),
+}
+
+/// Exact `x % g` for a divisor `g` fixed at construction: a mask when `g`
+/// is a power of two (no hardware division), otherwise the hardware `%`.
+/// [`ModReducer::reduce`] branches on the variant per call;
+/// [`hash_support`] branches once per call and runs a loop specialized to
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModReducer(Reduction);
+
+impl ModReducer {
+    /// Precomputes the reduction for divisor `g`.
+    ///
+    /// # Panics
+    /// If `g == 0`.
+    #[must_use]
+    pub fn new(g: u32) -> Self {
+        assert!(g > 0, "modulus must be positive");
+        let g = u64::from(g);
+        ModReducer(if g.is_power_of_two() {
+            Reduction::Mask(g - 1)
+        } else {
+            Reduction::Rem(g)
+        })
+    }
+
+    /// `x % g`, exactly.
+    #[inline]
+    #[must_use]
+    pub fn reduce(self, x: u64) -> u64 {
+        match self.0 {
+            Reduction::Mask(mask) => x & mask,
+            Reduction::Rem(g) => x % g,
+        }
+    }
+}
+
+/// The scalar reference for [`hash_support`]: one report at a time, one
+/// value at a time, hardware `%`.
+pub fn hash_support_scalar<I>(support: &mut [u64], value_mix: &[u64], reports: I, g: u32)
+where
+    I: IntoIterator<Item = (u64, u32)>,
+{
+    for (seed, y) in reports {
+        for (s, &m) in support.iter_mut().zip(value_mix) {
+            if mix64(seed ^ m) % u64::from(g) == u64::from(y) {
+                *s += 1;
+            }
+        }
+    }
+}
+
+/// The OLH support walk: for every `(seed, y)` report and every domain
+/// value `v`, adds one to `support[v]` when
+/// `mix64(seed ^ value_mix[v]) % g == y`, where `value_mix[v]` caches the
+/// report-independent inner hash `mix64(v)` and `g` is `reducer`'s
+/// divisor. The reduction variant is chosen once per call: a power-of-two
+/// `g` runs the AVX2 routine when [`simd_enabled`] (4 lanes per step, the
+/// 64-bit multiplies built from 32-bit ones), every other case a 4-wide
+/// unrolled scalar loop. Counts are exact `u64` additions, so every path
+/// equals [`hash_support_scalar`] bit for bit.
+#[allow(unsafe_code)] // runtime-dispatched AVX2 call sites
+pub fn hash_support<I>(support: &mut [u64], value_mix: &[u64], reports: I, reducer: ModReducer)
+where
+    I: IntoIterator<Item = (u64, u32)>,
+{
+    debug_assert_eq!(support.len(), value_mix.len());
+    match reducer.0 {
+        #[cfg(target_arch = "x86_64")]
+        Reduction::Mask(mask) if simd_enabled() => {
+            // SAFETY: simd_enabled() verified AVX2 support at runtime.
+            unsafe { avx2::hash_support_mask_avx2(support, value_mix, reports, mask) }
+        }
+        Reduction::Mask(mask) => hash_support_unrolled(support, value_mix, reports, |x| x & mask),
+        Reduction::Rem(g) => hash_support_unrolled(support, value_mix, reports, |x| x % g),
+    }
+}
+
+/// The portable [`hash_support`] loop, specialized to one reduction `rem`.
+fn hash_support_unrolled<I, R>(support: &mut [u64], value_mix: &[u64], reports: I, rem: R)
+where
+    I: IntoIterator<Item = (u64, u32)>,
+    R: Fn(u64) -> u64,
+{
+    for (seed, y) in reports {
+        let y = u64::from(y);
+        let hit = |m: u64| u64::from(rem(mix64(seed ^ m)) == y);
+        let mut counts = support.chunks_exact_mut(4);
+        let mut mixes = value_mix.chunks_exact(4);
+        for (s4, m4) in (&mut counts).zip(&mut mixes) {
+            s4[0] += hit(m4[0]);
+            s4[1] += hit(m4[1]);
+            s4[2] += hit(m4[2]);
+            s4[3] += hit(m4[3]);
+        }
+        for (s, &m) in counts.into_remainder().iter_mut().zip(mixes.remainder()) {
+            *s += hit(m);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 variants (runtime-dispatched; the module's only unsafe code)
 // ---------------------------------------------------------------------------
 
@@ -384,6 +498,82 @@ mod avx2 {
             counts[out[3] as usize] += 1;
         }
         super::bucket_histogram_scalar(counts, &values[blocks * 4..], lo, hi);
+    }
+
+    /// `a · c` modulo 2^64 per lane, from three 32 × 32 → 64-bit
+    /// multiplies (AVX2 has no 64-bit multiply); `c` is split into its
+    /// low and high 32-bit halves.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn mul64(a: __m256i, c_lo: __m256i, c_hi: __m256i) -> __m256i {
+        let lo = _mm256_mul_epu32(a, c_lo);
+        let cross = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), c_lo),
+            _mm256_mul_epu32(a, c_hi),
+        );
+        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
+    }
+
+    /// Walks the first `min(support.len(), value_mix.len())` values.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 support (via `simd_enabled`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn hash_support_mask_avx2<I>(
+        support: &mut [u64],
+        value_mix: &[u64],
+        reports: I,
+        mask: u64,
+    ) where
+        I: IntoIterator<Item = (u64, u32)>,
+    {
+        use crate::rng::{mix64, GAMMA, MIX1, MIX2};
+        let halves = |c: u64| {
+            (
+                _mm256_set1_epi64x((c & 0xFFFF_FFFF) as i64),
+                _mm256_set1_epi64x((c >> 32) as i64),
+            )
+        };
+        let (mix1_lo, mix1_hi) = halves(MIX1);
+        let (mix2_lo, mix2_hi) = halves(MIX2);
+        let gamma = _mm256_set1_epi64x(GAMMA as i64);
+        let mask_v = _mm256_set1_epi64x(mask as i64);
+        let n = support.len().min(value_mix.len());
+        let blocks = n / 4;
+        for (seed, y) in reports {
+            let seed_v = _mm256_set1_epi64x(seed as i64);
+            let y_v = _mm256_set1_epi64x(i64::from(y));
+            for b in 0..blocks {
+                // SAFETY: 4*b + 3 < n by the blocks bound; unaligned
+                // loads/stores.
+                let m = unsafe { _mm256_loadu_si256(value_mix.as_ptr().add(4 * b).cast()) };
+                // mix64(seed ^ m), lane by lane, wrapping like the scalar.
+                let mut z = _mm256_add_epi64(_mm256_xor_si256(seed_v, m), gamma);
+                z = mul64(
+                    _mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)),
+                    mix1_lo,
+                    mix1_hi,
+                );
+                z = mul64(
+                    _mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)),
+                    mix2_lo,
+                    mix2_hi,
+                );
+                z = _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z));
+                // A hit lane compares to all-ones (-1); subtracting adds 1.
+                let hit = _mm256_cmpeq_epi64(_mm256_and_si256(z, mask_v), y_v);
+                let p = support.as_mut_ptr().wrapping_add(4 * b).cast::<__m256i>();
+                // SAFETY: as for the load above.
+                unsafe { _mm256_storeu_si256(p, _mm256_sub_epi64(_mm256_loadu_si256(p), hit)) };
+            }
+            let y = u64::from(y);
+            for (s, &m) in support[blocks * 4..n]
+                .iter_mut()
+                .zip(&value_mix[blocks * 4..n])
+            {
+                *s += u64::from(mix64(seed ^ m) & mask == y);
+            }
+        }
     }
 
     /// # Safety

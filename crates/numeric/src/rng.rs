@@ -9,14 +9,19 @@
 use rand::{Error, RngCore, SeedableRng};
 
 /// The SplitMix64 state increment (Weyl constant).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The finalizer's two multipliers (shared with the vectorized OLH hash in
+/// `kernels`).
+pub(crate) const MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
+pub(crate) const MIX2: u64 = 0x94D0_49BB_1331_11EB;
 
 /// The 64-bit finalizer alone (no Weyl increment): the output function
 /// applied to each advanced state.
 #[inline]
 fn finalize(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX1);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX2);
     z ^ (z >> 31)
 }
 

@@ -7,14 +7,20 @@
 //! lane-remainder length (0..=17 and beyond the 4-lane / 7-row block
 //! boundaries), and hostile payloads: signed zeros, subnormals,
 //! large-magnitude cancellation, NaN/infinity domain violations and stray
-//! tail bits past the domain edge. Property tests run ≥ 20 randomized
-//! cases on top of the deterministic sweeps.
+//! tail bits past the domain edge. `ModReducer` (a mask for power-of-two
+//! divisors) is pinned against the hardware `%`, the `hash_support` walk against its
+//! scalar reference, and OLH absorption (one-report and slice forms)
+//! against an `olh_hash` reference loop. Property tests
+//! run ≥ 20 randomized cases on top of the deterministic sweeps.
 //!
 //! CI runs this suite twice — once with SIMD dispatch live and once under
 //! `LDP_NO_SIMD=1` — so both sides of the runtime dispatch stay pinned.
 
 use proptest::prelude::*;
 use rand::Rng;
+use sw_ldp::cfo::olh::{olh_hash, OlhReport};
+use sw_ldp::cfo::Olh;
+use sw_ldp::core_api::Mechanism;
 use sw_ldp::numeric::kernels;
 use sw_ldp::numeric::{ExactSum, SplitMix64};
 
@@ -333,6 +339,116 @@ fn no_simd_env_forces_the_scalar_path() {
 }
 
 // ---------------------------------------------------------------------------
+// ModReducer + OLH support walk: exact `% g`
+// ---------------------------------------------------------------------------
+
+/// Asserts `ModReducer::new(g)` equals the hardware `x % g` at the edge
+/// dividends and at `random` extra random ones.
+fn assert_reducer_exact(g: u32, rng: &mut SplitMix64, random: usize) {
+    let reducer = kernels::ModReducer::new(g);
+    let g64 = u64::from(g);
+    let edges = [0, g64 - 1, g64, g64 + 1, u64::MAX, u64::MAX - 1];
+    for x in edges
+        .into_iter()
+        .chain((0..random).map(|_| rng.gen::<u64>()))
+    {
+        assert_eq!(reducer.reduce(x), x % g64, "{x} % {g}");
+    }
+}
+
+#[test]
+fn mod_reducer_equals_hardware_remainder_for_every_small_divisor() {
+    let mut rng = SplitMix64::new(9101);
+    for g in 2u32..=300 {
+        assert_reducer_exact(g, &mut rng, 200);
+    }
+}
+
+#[test]
+fn mod_reducer_is_exact_at_the_divisor_extremes() {
+    let mut rng = SplitMix64::new(9104);
+    for g in [1u32, 1 << 31, (1 << 31) + 1, u32::MAX - 1, u32::MAX] {
+        assert_reducer_exact(g, &mut rng, 1000);
+    }
+}
+
+/// Random OLH reports over hash range `g` (uniform seeds and values, not
+/// randomizer output, so every value of `y` is hit).
+fn random_olh_reports(rng: &mut SplitMix64, n: usize, g: usize) -> Vec<OlhReport> {
+    (0..n)
+        .map(|_| OlhReport {
+            seed: rng.gen(),
+            y: rng.gen_range(0..g as u32),
+        })
+        .collect()
+}
+
+/// The support counts of an `olh_hash` reference loop.
+fn reference_support(d: usize, g: usize, reports: &[OlhReport]) -> Vec<u64> {
+    (0..d)
+        .map(|v| {
+            reports
+                .iter()
+                .filter(|r| olh_hash(r.seed, v, g) == r.y)
+                .count() as u64
+        })
+        .collect()
+}
+
+#[test]
+fn hash_support_equals_scalar_reference_across_domains_and_ranges() {
+    let mut rng = SplitMix64::new(9103);
+    for d in D_SWEEP {
+        let value_mix: Vec<u64> = (0..d as u64).map(sw_ldp::numeric::rng::mix64).collect();
+        for g in [2u32, 3, 4, 5, 8, 13, 64, 1000] {
+            let reports: Vec<(u64, u32)> =
+                (0..33).map(|_| (rng.gen(), rng.gen_range(0..g))).collect();
+            // Pre-filled counts: the walk must add, not overwrite.
+            let start: Vec<u64> = (0..d as u64).collect();
+            let (mut fast, mut reference) = (start.clone(), start);
+            kernels::hash_support(
+                &mut fast,
+                &value_mix,
+                reports.iter().copied(),
+                kernels::ModReducer::new(g),
+            );
+            kernels::hash_support_scalar(&mut reference, &value_mix, reports.iter().copied(), g);
+            assert_eq!(fast, reference, "d = {d}, g = {g}");
+        }
+    }
+}
+
+#[test]
+fn olh_support_walk_equals_the_hash_reference_loop() {
+    let mut rng = SplitMix64::new(9102);
+    for d in D_SWEEP {
+        for g in [2usize, 3, 4, 5, 8, 13] {
+            let Ok(olh) = Olh::with_hash_range(d, 1.0, g) else {
+                // OLH needs at least two values; d = 1 has no walk.
+                assert_eq!(d, 1, "d = {d}, g = {g} must construct");
+                continue;
+            };
+            for n in [0usize, 1, 5, 33] {
+                let reports = random_olh_reports(&mut rng, n, g);
+                let reference = reference_support(d, g, &reports);
+                let mut one = olh.empty_state();
+                for r in &reports {
+                    olh.absorb(&mut one, r).unwrap();
+                }
+                assert_eq!(
+                    one.support(),
+                    reference,
+                    "one-report walk, d {d} g {g} n {n}"
+                );
+                let mut bulk = olh.empty_state();
+                olh.absorb_slice(&mut bulk, &reports).unwrap();
+                assert_eq!(bulk.support(), reference, "slice walk, d {d} g {g} n {n}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Property tests: ≥ 20 randomized cases per kernel
 // ---------------------------------------------------------------------------
 
@@ -426,6 +542,24 @@ proptest! {
         }
         bulk.add_slice(&values);
         prop_assert_eq!(serial.parts(), bulk.parts());
+    }
+
+    #[test]
+    fn prop_mod_reducer_and_walk_exact(
+        seed in 0u64..u64::MAX,
+        g in 2u32..u32::MAX,
+        d in 2usize..300,
+        n in 0usize..24,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        assert_reducer_exact(g, &mut rng, 64);
+        // Walk ranges small enough that supports are not all zero.
+        let g = 2 + (g % 40) as usize;
+        let olh = Olh::with_hash_range(d, 1.0, g).unwrap();
+        let reports = random_olh_reports(&mut rng, n, g);
+        let mut bulk = olh.empty_state();
+        olh.absorb_slice(&mut bulk, &reports).unwrap();
+        prop_assert_eq!(bulk.support(), &reference_support(d, g, &reports)[..]);
     }
 
     #[test]

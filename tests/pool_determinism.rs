@@ -365,6 +365,16 @@ mod pooled_absorb {
             |raw| raw.tree.levels.concat(),
             true,
         );
+        // The collector's HH shape: GRR at the root's children, OLH on the
+        // four levels below, each grouped onto one support walk per shard.
+        let hh_1024 = HierarchicalHistogram::new(4, 1024, 1.0).unwrap();
+        pooled_fanout_case(
+            "HH d=1024",
+            hh_1024.clone(),
+            &reports_for(&hh_1024, &categorical(2_001, 1024), 611),
+            |raw| raw.tree.levels.concat(),
+            true,
+        );
         let haar = HaarHrr::new(32, 1.0).unwrap();
         pooled_fanout_case(
             "HaarHRR",
