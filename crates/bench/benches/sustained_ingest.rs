@@ -6,7 +6,7 @@
 //! regression-gated, because loopback TCP timing is noisy):
 //!
 //! - `sustained/ingest_c{C}_n{N}`: one full collection window — accept C
-//!   concurrent sessions, decode frames on connection threads, commit
+//!   concurrent sessions, decode frames on the reactor threads, commit
 //!   through the bounded queue, ack every frame — for N total reports of
 //!   the paper's `sw-ems` mechanism. `c1` is the serial baseline the
 //!   concurrent numbers are read against.

@@ -71,7 +71,7 @@ pub mod session;
 pub use error::CollectorError;
 pub use registry::build_session;
 pub use server::{
-    serve, serve_connection, serve_connection_capped, serve_once, serve_once_capped, serve_routed,
-    summary_json, ServeOptions, ServeSummary, SnapshotPolicy, WindowRoute, DEFAULT_MAX_FRAME_BYTES,
+    serve, serve_routed, summary_json, ServeOptions, ServeSummary, SnapshotPolicy, WindowRoute,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 pub use session::{ingest_lines, ingest_resuming, CollectorSession, Session};

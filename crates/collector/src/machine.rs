@@ -1,41 +1,41 @@
 //! The framed-session protocol as a resumable state machine.
 //!
-//! The blocking serve path ([`crate::server::serve_connection`] and the
-//! threaded `serve` handlers) expresses the protocol as straight-line
-//! code: read a frame, decode, commit, ack. The reactor serve path
-//! multiplexes hundreds of connections on a few threads, so the same
-//! protocol must be expressible as **resumable steps**: feed it whatever
-//! bytes arrived, get back the actions to perform, park it while a
-//! commit or a byte-budget reservation is in flight, resume it when the
-//! answer lands.
+//! The reactor serve path multiplexes hundreds of connections on a few
+//! threads, so the protocol — read a frame, decode, commit, ack — must be
+//! expressible as **resumable steps**: feed it whatever bytes arrived,
+//! get back the actions to perform, park it while a commit or a
+//! byte-budget reservation is in flight, resume it when the answer
+//! lands.
 //!
-//! [`Machine`] is that re-expression, and it is deliberately **pure**:
+//! [`Machine`] is that expression, and it is deliberately **pure**:
 //! no sockets, no threads, no channels — just bytes in, [`Action`]s out.
-//! That purity is what makes the equivalence testable: the fuzz suite
-//! (`tests/framing_fuzz.rs`) drives a `Machine` one byte at a time and
-//! asserts its ack stream is byte-identical to the blocking reader's,
-//! for every exchange the protocol defines (hello, sequenced data,
-//! replays, gaps, busy sheds, oversized frames, malformed payloads).
+//! It is the collector's only implementation of the protocol.
 //!
 //! # Parity contract
 //!
-//! Every observable behavior of the blocking handler is preserved, in
-//! order:
+//! The machine replaced a straight-line blocking reader, and every
+//! observable behavior of that reader is pinned by golden transcripts
+//! recorded from it (`tests/fixtures/framing_golden.txt`). The fuzz suite
+//! (`tests/framing_fuzz.rs`) drives a `Machine` one byte at a time and at
+//! random splits, and `serve` over a real socket, and asserts every ack
+//! byte, the final count and the finalized window against those
+//! transcripts, for every exchange the protocol defines (hello,
+//! sequenced data, replays, gaps, window routing, oversized frames,
+//! malformed payloads). In order:
 //!
 //! - the `frame-read` failpoint fires once per frame-read *attempt* —
 //!   at connection start and again after each completed frame — and the
 //!   `decode`, `commit-push`, `ack-write`, and `ack-evict` failpoints
-//!   fire at exactly the seams the blocking path puts them;
+//!   fire at fixed seams of [`Machine::on_bytes`]'s per-frame pipeline;
 //! - payload bytes are charged against the pipeline budget **before**
 //!   the payload buffer is allocated ([`Action::Reserve`] precedes the
 //!   body phase) and released on every early-out path;
 //! - ack bytes (`+`, `-`, the 9-byte hello ack, the 5-byte busy shed)
-//!   and error strings are byte-identical to the blocking path's.
+//!   are the wire format's (`docs/WIRE_FORMAT.md`).
 //!
 //! # Multi-window routing
 //!
-//! The machine adds one extension the blocking path doesn't have: a
-//! hello frame may carry a `window <name>` line
+//! A hello frame may carry a `window <name>` line
 //! ([`crate::protocol::parse_hello`]), routing the session to one of
 //! several named estimation windows. Window indices resolve against
 //! [`MachineConfig::windows`]; every budget and commit action names the
@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Largest accepted frame payload; a bigger length header is refused
-    /// before allocation with the blocking path's exact error.
+    /// before allocation.
     pub max_frame_bytes: u32,
     /// Per-connection rate cap in reports/second (`None` = unlimited) —
     /// the machine owns the [`TokenBucket`].
@@ -157,8 +157,7 @@ pub enum CommitDone {
     Flush(Result<u64, CollectorError>),
 }
 
-/// How the session ended — the machine's analogue of the blocking
-/// handler's `SessionEnd`/`Err` pair.
+/// How the session ended.
 pub enum MachineEnd {
     /// Clean end-of-stream, final `+` queued.
     Completed,
@@ -232,16 +231,16 @@ impl Machine {
         }
     }
 
-    /// Arms the first frame read. Mirrors the blocking reader, whose
-    /// `frame-read` failpoint fires when the read is *attempted* —
-    /// synchronously at connection start, before any byte arrives.
+    /// Arms the first frame read. The `frame-read` failpoint fires when
+    /// the read is *attempted* — synchronously at connection start,
+    /// before any byte arrives.
     pub fn start(&mut self, out: &mut Vec<Action>) {
         self.enter_frame(out);
     }
 
     /// Whether the machine is at a clean frame boundary (no header byte
     /// consumed, nothing in flight) — the only place shutdown and idle
-    /// may end the session, exactly like the blocking `fill`.
+    /// may end the session.
     #[must_use]
     pub fn at_boundary(&self) -> bool {
         matches!(self.phase, Phase::Header { got: 0, .. })
@@ -278,8 +277,7 @@ impl Machine {
 
     /// Releases and returns any still-held byte charge as
     /// `(window, bytes)` — for a driver tearing the connection down
-    /// mid-frame (eviction, shutdown grace expiry), where the blocking
-    /// path's charge guard would drop.
+    /// mid-frame (eviction, shutdown grace expiry).
     pub fn take_charge(&mut self) -> Option<(usize, usize)> {
         self.charge.take()
     }
@@ -339,9 +337,7 @@ impl Machine {
                         );
                         break;
                     }
-                    // Charge the payload's bytes before its buffer exists —
-                    // the same reserve-before-allocate order as the blocking
-                    // path's `before_alloc` hook.
+                    // Charge the payload's bytes before its buffer exists.
                     self.phase = Phase::AwaitBudget { len };
                     out.push(Action::Reserve {
                         window: self.window,
@@ -394,8 +390,7 @@ impl Machine {
                 CommitDone::Hello { cursor },
             ) => {
                 // The hello frame's own bytes are done with: release them
-                // where the blocking path's charge guard drops (after the
-                // ack, at `continue`) — same window they were reserved on.
+                // on the same window they were reserved on.
                 self.release_charge(out);
                 if horizon > cursor {
                     out.push(Action::Send(b"-".to_vec()));
@@ -445,7 +440,7 @@ impl Machine {
 
     /// The window's absorber is gone (its commit queue disconnected, a
     /// reservation failed, or a pending commit was cancelled). Ends the
-    /// session with the blocking path's exact error.
+    /// session.
     pub fn absorber_gone(&mut self, out: &mut Vec<Action>) {
         self.release_charge(out);
         self.end(
@@ -457,10 +452,10 @@ impl Machine {
     }
 
     /// The peer closed its write side. At a frame boundary that is the
-    /// clean-but-unfinished ending; mid-frame it is the blocking path's
-    /// truncation error, byte counts included. Must not be called while
-    /// the machine [`Machine::is_awaiting`] — defer EOF until the pause
-    /// resolves, as the blocking path only notices EOF when it reads.
+    /// clean-but-unfinished ending; mid-frame it is a truncation error,
+    /// byte counts included. Must not be called while the machine
+    /// [`Machine::is_awaiting`] — defer EOF until the pause resolves, so
+    /// EOF is only noticed where the next read would happen.
     pub fn on_eof(&mut self, out: &mut Vec<Action>) {
         match &self.phase {
             Phase::Header { got: 0, .. } => self.end(MachineEnd::PeerClosed, out),
@@ -475,8 +470,7 @@ impl Machine {
             }
             Phase::AwaitBudget { len } => {
                 // The budget pause sits between the header and the body
-                // read; the blocking path would discover this EOF on the
-                // body's first byte.
+                // read; this EOF counts as hitting the body's first byte.
                 let len = *len;
                 self.release_charge(out);
                 self.end(
@@ -516,8 +510,8 @@ impl Machine {
         };
     }
 
-    /// A complete payload: the per-frame pipeline, in the blocking
-    /// path's exact order — UTF-8, hello upgrade, seq split, rate
+    /// A complete payload: the per-frame pipeline, in this exact
+    /// order — UTF-8, hello upgrade, seq split, rate
     /// bucket, `decode` failpoint, decoder, `commit-push` failpoint,
     /// batch handoff.
     fn process_frame(
@@ -530,7 +524,7 @@ impl Machine {
         let text = match String::from_utf8(payload) {
             Ok(text) => text,
             Err(e) => {
-                // The blocking reader fails here without an ack byte.
+                // A non-UTF-8 payload fails without an ack byte.
                 self.release_charge(out);
                 self.end(
                     MachineEnd::Failed(CollectorError::Protocol(format!(
@@ -569,9 +563,8 @@ impl Machine {
                     }
                 },
             };
-            // The hello's byte charge stays held across the commit, like
-            // the blocking guard held across push-and-pop; it is released
-            // in commit_done. The commit targets the *routed* window (its
+            // The hello's byte charge stays held across the commit; it is
+            // released in commit_done. The commit targets the *routed* window (its
             // absorber owns the cursor), while data frames switch windows
             // only after the hello ack.
             self.phase = Phase::AwaitHello {
@@ -625,13 +618,13 @@ impl Machine {
             }
         };
         if faults::hit("commit-push").is_some() {
-            // The blocking path errors here *without* a `-` ack.
+            // This failure ends the session *without* a `-` ack.
             self.release_charge(out);
             self.end(MachineEnd::Failed(faults::error("commit-push")), out);
             return;
         }
-        // Transfer the charge into the queue: the absorber releases it at
-        // pop, exactly like push_reserved's weight.
+        // Transfer the charge into the queue (`try_push_reserved` carries
+        // it with the commit); the absorber releases it at pop.
         let weight = self.charge.take().map_or(0, |(_, bytes)| bytes);
         self.phase = Phase::AwaitBatch;
         out.push(Action::Commit(CommitRequest::Batch {
@@ -642,8 +635,8 @@ impl Machine {
         }));
     }
 
-    /// A success ack through the `ack-write` and `ack-evict` failpoints —
-    /// the blocking path's `write_success_ack`. Returns whether the ack
+    /// A success ack through the `ack-write` and `ack-evict` failpoints.
+    /// Returns whether the ack
     /// was queued (`false` = the session just ended).
     fn success_ack(&mut self, ack: Vec<u8>, out: &mut Vec<Action>) -> bool {
         if faults::hit("ack-write").is_some() {
@@ -671,8 +664,7 @@ impl Machine {
     }
 }
 
-/// The busy-shed bytes for a token-bucket wait, with the blocking
-/// path's millisecond clamp.
+/// The busy-shed bytes for a token-bucket wait, clamped to at least 1 ms.
 fn encode_busy_clamped(wait: Duration) -> Vec<u8> {
     let retry_ms = u32::try_from(wait.as_millis().max(1)).unwrap_or(u32::MAX);
     protocol::encode_busy(retry_ms).to_vec()
@@ -854,7 +846,7 @@ mod tests {
         let session = build_session("grr:eps=1,d=8").unwrap();
         let reports = session.gen_reports(50, 2).unwrap();
         // The bucket starts full and clamps oversized costs, so the first
-        // frame drains it and is admitted — exactly like the blocking path.
+        // frame drains it and is admitted.
         feed(&mut machine, &frame_bytes(&reports), decoder.as_ref());
         machine.commit_done(CommitDone::Batch(Ok(())), &mut out);
         out.clear();

@@ -17,7 +17,7 @@
 //!                        [--busy-retry-ms MS] [--ack-deadline-ms MS]
 //!                        [--shutdown-file PATH] [--reactor-threads N]
 //!                        [--window NAME=SPEC]... [--summary-json PATH]
-//!                        [--threads-per-conn] [--serial] [--finalize]
+//!                        [--resume] [--finalize]
 //! ```
 //!
 //! See `docs/OPERATIONS.md` for the operator's guide and worked examples
@@ -26,8 +26,7 @@
 use ldp_collector::io::{read_to_string, write_snapshot_atomic};
 use ldp_collector::registry::{build_session, MECHANISMS};
 use ldp_collector::server::{
-    serve_once_capped, serve_routed, summary_json, ServeOptions, SnapshotPolicy, WindowRoute,
-    DEFAULT_MAX_FRAME_BYTES,
+    serve_routed, summary_json, ServeOptions, SnapshotPolicy, WindowRoute, DEFAULT_MAX_FRAME_BYTES,
 };
 use ldp_collector::session::{ingest_lines, CollectorSession};
 use ldp_collector::CollectorError;
@@ -100,7 +99,7 @@ fn print_help() {
     println!("           [--busy-retry-ms MS] [--ack-deadline-ms MS]");
     println!("           [--shutdown-file PATH] [--reactor-threads N]");
     println!("           [--window NAME=SPEC]... [--summary-json PATH]");
-    println!("           [--threads-per-conn] [--serial] [--finalize]");
+    println!("           [--resume] [--finalize]");
     println!("           concurrent length-delimited TCP ingestion");
     println!();
     println!("mechanism specs (name:key=value,...):");
@@ -112,7 +111,10 @@ fn print_help() {
     println!("Docs: docs/OPERATIONS.md, docs/WIRE_FORMAT.md, docs/ARCHITECTURE.md.");
 }
 
-/// Minimal flag parser: `--key value` pairs plus positional arguments.
+/// Minimal flag parser: `--key value` pairs, bare `--switch`es and
+/// positional arguments. Each subcommand names the flags it accepts;
+/// any other `--name` is an error, so a misspelled flag can never be
+/// silently dropped.
 struct Flags {
     pairs: Vec<(String, String)>,
     bools: Vec<String>,
@@ -120,7 +122,11 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], bool_flags: &[&str]) -> Result<Flags, CollectorError> {
+    fn parse(
+        args: &[String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Flags, CollectorError> {
         let mut pairs = Vec::new();
         let mut bools = Vec::new();
         let mut positional = Vec::new();
@@ -129,6 +135,8 @@ impl Flags {
             if let Some(name) = a.strip_prefix("--") {
                 if bool_flags.contains(&name) {
                     bools.push(name.to_string());
+                } else if !value_flags.contains(&name) {
+                    return Err(CollectorError::Spec(format!("unknown flag --{name}")));
                 } else {
                     let value = it.next().ok_or_else(|| {
                         CollectorError::Spec(format!("--{name} requires a value"))
@@ -197,7 +205,7 @@ fn session_for(flags: &Flags) -> Result<Box<dyn CollectorSession>, CollectorErro
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CollectorError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["mechanism", "n", "seed", "out"], &[])?;
     let session = session_for(&flags)?;
     let n = flags.u64_or("n", 0)?;
     if n == 0 {
@@ -213,7 +221,18 @@ fn cmd_gen(args: &[String]) -> Result<(), CollectorError> {
 }
 
 fn cmd_ingest(args: &[String]) -> Result<(), CollectorError> {
-    let flags = Flags::parse(args, &["resume", "finalize"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "mechanism",
+            "input",
+            "snapshot",
+            "snapshot-every",
+            "keep",
+            "max-reports",
+        ],
+        &["resume", "finalize"],
+    )?;
     let mut session = session_for(&flags)?;
     let snapshot_path = flags.get("snapshot").map(PathBuf::from);
     let every = flags.u64_or("snapshot-every", 0)?;
@@ -273,7 +292,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), CollectorError> {
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), CollectorError> {
-    let flags = Flags::parse(args, &["finalize"])?;
+    let flags = Flags::parse(args, &["mechanism", "out"], &["finalize"])?;
     let mut session = session_for(&flags)?;
     let out = PathBuf::from(flags.require("out")?);
     if flags.positional.is_empty() {
@@ -293,7 +312,7 @@ fn cmd_merge(args: &[String]) -> Result<(), CollectorError> {
 }
 
 fn cmd_finalize(args: &[String]) -> Result<(), CollectorError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["mechanism", "snapshot"], &[])?;
     let mut session = session_for(&flags)?;
     session.restore(&read_to_string(&PathBuf::from(flags.require("snapshot")?))?)?;
     print!("{}", session.finalize_text()?);
@@ -301,7 +320,7 @@ fn cmd_finalize(args: &[String]) -> Result<(), CollectorError> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), CollectorError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &[])?;
     if flags.positional.is_empty() {
         return Err(CollectorError::Spec(
             "inspect requires at least one snapshot file".into(),
@@ -328,7 +347,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CollectorError> {
 }
 
 fn cmd_specs(args: &[String]) -> Result<(), CollectorError> {
-    let _ = Flags::parse(args, &[])?;
+    let _ = Flags::parse(args, &[], &[])?;
     for (name, params) in MECHANISMS {
         println!("{name:<12} {params}");
     }
@@ -354,7 +373,31 @@ fn spawn_shutdown_watcher(path: PathBuf, shutdown: Arc<AtomicBool>) {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CollectorError> {
-    let flags = Flags::parse(args, &["finalize", "resume", "serial", "threads-per-conn"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "mechanism",
+            "listen",
+            "snapshot",
+            "snapshot-every",
+            "keep",
+            "max-connections",
+            "connections",
+            "queue-depth",
+            "idle-timeout",
+            "max-frame-bytes",
+            "max-rps-per-conn",
+            "memory-budget-bytes",
+            "report-quota",
+            "busy-retry-ms",
+            "ack-deadline-ms",
+            "shutdown-file",
+            "reactor-threads",
+            "window",
+            "summary-json",
+        ],
+        &["finalize", "resume"],
+    )?;
     let mut session = session_for(&flags)?;
     let snapshot_path = flags.get("snapshot").map(PathBuf::from);
     if flags.has("resume") {
@@ -386,156 +429,147 @@ fn cmd_serve(args: &[String]) -> Result<(), CollectorError> {
             .unwrap_or_else(|_| addr.to_string()),
         session.mechanism_id()
     );
-    let max_frame_bytes =
-        flags.u64_or("max-frame-bytes", u64::from(DEFAULT_MAX_FRAME_BYTES))? as u32;
-    if flags.has("serial") {
-        // The legacy single-session loop, kept for drills and tests.
-        let total = serve_once_capped(&listener, session.as_mut(), &policy, max_frame_bytes)?;
-        eprintln!("stream ended at {total} reports");
+    let defaults = ServeOptions::default();
+    let options = ServeOptions {
+        max_connections: flags.u64_or("max-connections", defaults.max_connections as u64)? as usize,
+        connections: flags.u64_or("connections", 0)?,
+        queue_depth: flags.u64_or("queue-depth", defaults.queue_depth as u64)? as usize,
+        shutdown: Arc::new(AtomicBool::new(false)),
+        idle_timeout: match flags.u64_or("idle-timeout", 0)? {
+            0 => None,
+            ms => Some(std::time::Duration::from_millis(ms)),
+        },
+        max_frame_bytes: flags.u64_or("max-frame-bytes", u64::from(DEFAULT_MAX_FRAME_BYTES))?
+            as u32,
+        max_rps_per_conn: flags.f64_or("max-rps-per-conn", 0.0)?,
+        memory_budget_bytes: flags.u64_or("memory-budget-bytes", 0)? as usize,
+        report_quota: flags.u64_or("report-quota", 0)?,
+        busy_retry: std::time::Duration::from_millis(
+            flags.u64_or("busy-retry-ms", defaults.busy_retry.as_millis() as u64)?,
+        ),
+        ack_deadline: match flags.u64_or("ack-deadline-ms", 0)? {
+            0 => None,
+            ms => Some(std::time::Duration::from_millis(ms)),
+        },
+        reactor_threads: flags.u64_or("reactor-threads", 0)? as usize,
+    };
+    // Routed windows: `--window name=spec` each gets its own
+    // session, absorber, and snapshot file `<snapshot>.<name>`.
+    let mut windows = Vec::new();
+    for decl in flags.get_all("window") {
+        let (name, spec) = decl.split_once('=').ok_or_else(|| {
+            CollectorError::Spec(format!("--window wants name=mechanism-spec, got {decl:?}"))
+        })?;
+        let window_path = policy.path.as_ref().map(|p| {
+            let mut os = p.clone().into_os_string();
+            os.push(format!(".{name}"));
+            PathBuf::from(os)
+        });
+        windows.push(WindowRoute {
+            name: name.to_string(),
+            session: build_session(spec)?,
+            policy: SnapshotPolicy {
+                path: window_path,
+                every: policy.every,
+                keep: policy.keep,
+            },
+        });
+    }
+    if options.connections == 0 && flags.get("shutdown-file").is_none() {
+        eprintln!("serving until killed (no --connections limit or --shutdown-file)");
+    }
+    if let Some(path) = flags.get("shutdown-file") {
+        spawn_shutdown_watcher(PathBuf::from(path), Arc::clone(&options.shutdown));
+    }
+    let summary = serve_routed(&listener, session.as_mut(), &policy, &options, &mut windows)?;
+    if let Some(path) = flags.get("summary-json") {
+        std::fs::write(path, summary_json(&summary))
+            .map_err(|e| CollectorError::Io(format!("writing {path}: {e}")))?;
+    }
+    // With routed windows, `session.count()` is only the default
+    // window's state; calling it "total" next to the cross-window
+    // report count would mislead.
+    let scope = if summary.window_reports.is_empty() {
+        "total"
     } else {
-        let defaults = ServeOptions::default();
-        let options = ServeOptions {
-            max_connections: flags.u64_or("max-connections", defaults.max_connections as u64)?
-                as usize,
-            connections: flags.u64_or("connections", 0)?,
-            queue_depth: flags.u64_or("queue-depth", defaults.queue_depth as u64)? as usize,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            idle_timeout: match flags.u64_or("idle-timeout", 0)? {
-                0 => None,
-                ms => Some(std::time::Duration::from_millis(ms)),
-            },
-            max_frame_bytes,
-            max_rps_per_conn: flags.f64_or("max-rps-per-conn", 0.0)?,
-            memory_budget_bytes: flags.u64_or("memory-budget-bytes", 0)? as usize,
-            report_quota: flags.u64_or("report-quota", 0)?,
-            busy_retry: std::time::Duration::from_millis(
-                flags.u64_or("busy-retry-ms", defaults.busy_retry.as_millis() as u64)?,
-            ),
-            ack_deadline: match flags.u64_or("ack-deadline-ms", 0)? {
-                0 => None,
-                ms => Some(std::time::Duration::from_millis(ms)),
-            },
-            threads_per_conn: flags.has("threads-per-conn"),
-            reactor_threads: flags.u64_or("reactor-threads", 0)? as usize,
-        };
-        // Routed windows: `--window name=spec` each gets its own
-        // session, absorber, and snapshot file `<snapshot>.<name>`.
-        let mut windows = Vec::new();
-        for decl in flags.get_all("window") {
-            let (name, spec) = decl.split_once('=').ok_or_else(|| {
-                CollectorError::Spec(format!("--window wants name=mechanism-spec, got {decl:?}"))
-            })?;
-            let window_path = policy.path.as_ref().map(|p| {
-                let mut os = p.clone().into_os_string();
-                os.push(format!(".{name}"));
-                PathBuf::from(os)
-            });
-            windows.push(WindowRoute {
-                name: name.to_string(),
-                session: build_session(spec)?,
-                policy: SnapshotPolicy {
-                    path: window_path,
-                    every: policy.every,
-                    keep: policy.keep,
-                },
-            });
-        }
-        if options.connections == 0 && flags.get("shutdown-file").is_none() {
-            eprintln!("serving until killed (no --connections limit or --shutdown-file)");
-        }
-        if let Some(path) = flags.get("shutdown-file") {
-            spawn_shutdown_watcher(PathBuf::from(path), Arc::clone(&options.shutdown));
-        }
-        let summary = serve_routed(&listener, session.as_mut(), &policy, &options, &mut windows)?;
-        if let Some(path) = flags.get("summary-json") {
-            std::fs::write(path, summary_json(&summary))
-                .map_err(|e| CollectorError::Io(format!("writing {path}: {e}")))?;
-        }
-        // With routed windows, `session.count()` is only the default
-        // window's state; calling it "total" next to the cross-window
-        // report count would mislead.
-        let scope = if summary.window_reports.is_empty() {
-            "total"
-        } else {
-            "in the default window"
-        };
+        "in the default window"
+    };
+    eprintln!(
+        "served {} sessions ({} completed, {} failed): {} reports, {} {scope}",
+        summary.accepted,
+        summary.completed,
+        summary.failed,
+        summary.reports,
+        session.count()
+    );
+    for (name, reports) in &summary.window_reports {
+        eprintln!("window {name}: {reports} reports");
+    }
+    if summary.accept_errors > 0 {
         eprintln!(
-            "served {} sessions ({} completed, {} failed): {} reports, {} {scope}",
-            summary.accepted,
-            summary.completed,
-            summary.failed,
-            summary.reports,
-            session.count()
+            "accept: {} transient failures survived with backoff (check ulimit -n)",
+            summary.accept_errors
         );
-        for (name, reports) in &summary.window_reports {
-            eprintln!("window {name}: {reports} reports");
-        }
-        if summary.accept_errors > 0 {
-            eprintln!(
-                "accept: {} transient failures survived with backoff (check ulimit -n)",
-                summary.accept_errors
-            );
-        }
-        if summary.sessions_resumed > 0 || summary.duplicates_suppressed > 0 {
-            eprintln!(
-                "sequenced: {} sessions resumed, {} duplicate frames suppressed",
-                summary.sessions_resumed, summary.duplicates_suppressed
-            );
-        }
-        if summary.idle_disconnects > 0 {
-            eprintln!(
-                "idle: {} peers disconnected past --idle-timeout",
-                summary.idle_disconnects
-            );
-        }
-        let sheds = summary.admission_sheds + summary.quota_sheds + summary.rate_sheds;
-        if sheds > 0 {
-            eprintln!(
-                "overload: {} busy sheds ({} admission, {} quota, {} rate)",
-                sheds, summary.admission_sheds, summary.quota_sheds, summary.rate_sheds
-            );
-        }
-        if summary.oversized_frames > 0 {
-            eprintln!(
-                "overload: {} frames rejected over --max-frame-bytes",
-                summary.oversized_frames
-            );
-        }
-        if summary.evictions > 0 {
-            eprintln!(
-                "overload: {} slow consumers evicted past --ack-deadline-ms",
-                summary.evictions
-            );
-        }
-        if summary.supervisor_restarts > 0 {
-            eprintln!(
-                "supervisor: {} snapshot-writer restarts after panics",
-                summary.supervisor_restarts
-            );
-        }
-        if summary.peak_queue_bytes > 0 {
-            eprintln!(
-                "memory: peak pipeline charge {} bytes{}",
-                summary.peak_queue_bytes,
-                match options.memory_budget_bytes {
-                    0 => String::new(),
-                    budget => format!(" of --memory-budget-bytes {budget}"),
-                }
-            );
-        }
-        if summary.faults_injected > 0 {
-            eprintln!("faults: {} injected (LDP_FAULTS)", summary.faults_injected);
-        }
-        if summary.snapshots_superseded > 0 {
-            eprintln!(
-                "note: {} cadence snapshots were superseded before hitting disk \
-                 (writer lagging; consider a larger --snapshot-every)",
-                summary.snapshots_superseded
-            );
-        }
-        if let Some(err) = &summary.last_session_error {
-            eprintln!("last session error: {err}");
-        }
+    }
+    if summary.sessions_resumed > 0 || summary.duplicates_suppressed > 0 {
+        eprintln!(
+            "sequenced: {} sessions resumed, {} duplicate frames suppressed",
+            summary.sessions_resumed, summary.duplicates_suppressed
+        );
+    }
+    if summary.idle_disconnects > 0 {
+        eprintln!(
+            "idle: {} peers disconnected past --idle-timeout",
+            summary.idle_disconnects
+        );
+    }
+    let sheds = summary.admission_sheds + summary.quota_sheds + summary.rate_sheds;
+    if sheds > 0 {
+        eprintln!(
+            "overload: {} busy sheds ({} admission, {} quota, {} rate)",
+            sheds, summary.admission_sheds, summary.quota_sheds, summary.rate_sheds
+        );
+    }
+    if summary.oversized_frames > 0 {
+        eprintln!(
+            "overload: {} frames rejected over --max-frame-bytes",
+            summary.oversized_frames
+        );
+    }
+    if summary.evictions > 0 {
+        eprintln!(
+            "overload: {} slow consumers evicted past --ack-deadline-ms",
+            summary.evictions
+        );
+    }
+    if summary.supervisor_restarts > 0 {
+        eprintln!(
+            "supervisor: {} snapshot-writer restarts after panics",
+            summary.supervisor_restarts
+        );
+    }
+    if summary.peak_queue_bytes > 0 {
+        eprintln!(
+            "memory: peak pipeline charge {} bytes{}",
+            summary.peak_queue_bytes,
+            match options.memory_budget_bytes {
+                0 => String::new(),
+                budget => format!(" of --memory-budget-bytes {budget}"),
+            }
+        );
+    }
+    if summary.faults_injected > 0 {
+        eprintln!("faults: {} injected (LDP_FAULTS)", summary.faults_injected);
+    }
+    if summary.snapshots_superseded > 0 {
+        eprintln!(
+            "note: {} cadence snapshots were superseded before hitting disk \
+             (writer lagging; consider a larger --snapshot-every)",
+            summary.snapshots_superseded
+        );
+    }
+    if let Some(err) = &summary.last_session_error {
+        eprintln!("last session error: {err}");
     }
     if flags.has("finalize") {
         print!("{}", session.finalize_text()?);

@@ -1,8 +1,9 @@
-//! The nonblocking serve engine: N epoll reactor threads multiplexing
-//! every admitted connection through the resumable protocol machine
-//! ([`crate::machine`]), feeding the same absorber/snapshot pipeline as
-//! the thread-per-connection engine — plus the multi-window session
-//! router ([`crate::server::serve_routed`]).
+//! The serve engine: N epoll reactor threads multiplexing every admitted
+//! connection through the resumable protocol machine
+//! ([`crate::machine`]) into the absorber/snapshot pipeline of
+//! [`crate::server`] — plus the multi-window session router. Its entry
+//! point, [`serve_routed`], is re-exported as
+//! [`crate::server::serve_routed`].
 //!
 //! # Shape
 //!
@@ -14,22 +15,21 @@
 //!   backoff)
 //! ```
 //!
-//! The acceptor admits exactly like the threaded engine (permit pool,
-//! quota sheds, `admission`/`accept` failpoints, EMFILE backoff) and
-//! deals admitted sockets round-robin to the reactor threads' mailboxes.
+//! The acceptor admits through a permit pool (quota sheds,
+//! `admission`/`accept` failpoints, EMFILE backoff) and deals admitted sockets round-robin to the reactor threads' mailboxes.
 //! Each reactor thread owns an epoll instance, a [`Slab`] of
 //! connections, and a [`TimerWheel`] for idle/ack-deadline/shutdown
 //! deadlines; each connection owns a [`Machine`] that turns bytes into
-//! [`Action`]s. Commits cross to the per-window absorber over the same
-//! byte-budgeted queue the threaded engine uses — nonblockingly
+//! [`Action`]s. Commits cross to the per-window absorber over a
+//! byte-budgeted queue — nonblockingly
 //! (`try_reserve` / `try_push_reserved`), with the connection **parked**
 //! when the queue pushes back and retried when the absorber signals
 //! progress. The absorber answers through a [`Done`] callback that posts
 //! to the owning reactor's mailbox and wakes its epoll.
 //!
-//! Exactly-once semantics, the failpoint schedule, overload defenses,
-//! and every counter are shared with the threaded engine — the chaos,
-//! overload, and stress suites run identically under both.
+//! The chaos, overload, and stress suites pin its exactly-once
+//! semantics, failpoint schedule, overload defenses, and counters; the
+//! framing suite pins its ack bytes to golden transcripts.
 
 use crate::error::CollectorError;
 use crate::faults;
@@ -37,9 +37,8 @@ use crate::machine::MachineEnd;
 use crate::machine::{Action, CommitDone, CommitRequest, Machine, MachineConfig};
 use crate::protocol;
 use crate::server::{
-    absorb_commit, is_fd_exhaustion, panic_message, run_writer, shed_at_accept, AbsorberShared,
-    Commit, CommitReply, Done, ServeOptions, ServeSummary, SnapshotPolicy, WindowRoute,
-    ACCEPT_BACKOFF_CAP, ACCEPT_TICK, READ_TICK, SHUTDOWN_GRACE_TICKS,
+    absorb_commit, panic_message, run_writer, AbsorberShared, Commit, CommitReply, Done,
+    ServeOptions, ServeSummary, SnapshotPolicy, WindowRoute,
 };
 use crate::session::{BatchDecoder, CollectorSession};
 use ldp_core::snapshot::SnapshotSpool;
@@ -61,11 +60,41 @@ const K_GRACE: u32 = 2;
 /// reactor tick.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Longest one epoll wait blocks before the reactor re-checks the
+/// shutdown flag — the granularity of "shutdown is checked between
+/// frames".
+const READ_TICK: Duration = Duration::from_millis(100);
+
+/// How long the acceptor sleeps between polls of a quiet listen socket.
+const ACCEPT_TICK: Duration = Duration::from_millis(20);
+
+/// Longest the acceptor sleeps after a transient accept failure
+/// (fd exhaustion). The backoff doubles from [`ACCEPT_TICK`] up to this
+/// cap and resets on the next successful accept.
+const ACCEPT_BACKOFF_CAP: Duration = Duration::from_secs(1);
+
 /// How long a mid-frame connection may stall after shutdown is raised
-/// before it is dropped — the reactor's analogue of the threaded
-/// engine's bounded read ticks.
-fn shutdown_grace() -> Duration {
-    READ_TICK * SHUTDOWN_GRACE_TICKS
+/// before it is dropped.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+
+/// Best-effort `!busy` shed of a connection that was never admitted: tell
+/// the peer when to retry, then close. Write errors are ignored — the
+/// peer is being turned away either way, and a short write timeout keeps
+/// a hostile peer from stalling the acceptor.
+fn shed_at_accept(mut stream: TcpStream, retry: Duration) {
+    let retry_ms = u32::try_from(retry.as_millis().max(1)).unwrap_or(u32::MAX);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.write_all(&protocol::encode_busy(retry_ms));
+}
+
+/// Whether an accept error is the process (`EMFILE`) or host (`ENFILE`)
+/// running out of file descriptors — transient pressure the accept loop
+/// must survive with backoff, never a reason to drop live sessions.
+fn is_fd_exhaustion(e: &std::io::Error) -> bool {
+    matches!(
+        e.raw_os_error(),
+        Some(23 /* ENFILE */) | Some(24 /* EMFILE */)
+    )
 }
 
 /// A reactor thread's inbox: the acceptor posts admitted sockets, the
@@ -141,7 +170,7 @@ struct Conn {
 }
 
 /// Everything one reactor thread needs, mostly borrowed from
-/// [`serve_reactor`]'s stack.
+/// [`serve_routed`]'s stack.
 struct ReactorShared<'a> {
     machine_cfg: MachineConfig,
     decoders: Vec<Arc<dyn BatchDecoder>>,
@@ -168,11 +197,15 @@ impl ReactorShared<'_> {
     }
 }
 
-/// The reactor engine behind [`crate::server::serve_routed`]. Window 0
-/// is the default (the `session`/`policy` arguments); each
+/// [`serve`](crate::server::serve) with additional named windows: a
+/// hello frame carrying `window <name>` routes its whole session to that
+/// window's own absorber/snapshot pipeline; sessions without the line
+/// (and bare at-least-once sessions) land in the default window.
+///
+/// Window 0 is the default (the `session`/`policy` arguments); each
 /// [`WindowRoute`] adds a named window with its own absorber, spool,
 /// and snapshot writer.
-pub(crate) fn serve_reactor(
+pub fn serve_routed(
     listener: &TcpListener,
     session: &mut dyn CollectorSession,
     policy: &SnapshotPolicy,
@@ -296,9 +329,8 @@ pub(crate) fn serve_reactor(
             });
         }
 
-        // The acceptor: admission is byte-for-byte the threaded
-        // engine's (permits, quota, `admission`/`accept` faults, fd
-        // exhaustion backoff); admitted sockets go nonblocking and are
+        // The acceptor: admission (permits, quota, `admission`/`accept`
+        // faults, fd exhaustion backoff); admitted sockets go nonblocking and are
         // dealt round-robin to the reactor mailboxes.
         {
             let shutdown = Arc::clone(&options.shutdown);
@@ -475,8 +507,7 @@ pub(crate) fn serve_reactor(
         }
 
         // The default window's absorber runs here, on the scope's own
-        // thread — the single owner of `session`, exactly like the
-        // threaded engine.
+        // thread — the single owner of `session`.
         let shared = AbsorberShared {
             policy: &policies[0],
             spool: &spools[0],
@@ -606,8 +637,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
         }
 
         // Admitted sockets: register, start the machine (which fires the
-        // `frame-read` failpoint, like the blocking reader's first
-        // attempt), and pump.
+        // `frame-read` failpoint for the first frame read), and pump.
         let new_streams: Vec<TcpStream> =
             std::mem::take(&mut *shared.mailbox.streams.lock().expect("mailbox lock"));
         for stream in new_streams {
@@ -724,8 +754,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
                             Verdict::Close(Close::Idle)
                         } else if let Some(idle) = shared.idle_timeout {
                             // Mid-frame or mid-commit stalls are
-                            // backpressure, not idleness (blocking-path
-                            // parity).
+                            // backpressure, not idleness.
                             Verdict::Rearm(idle)
                         } else {
                             Verdict::Nothing
@@ -756,7 +785,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
                         } else if shared.shutdown.load(Ordering::SeqCst) && !conn.machine.is_ended()
                         {
                             conn.grace_armed = true;
-                            Verdict::Rearm(shutdown_grace())
+                            Verdict::Rearm(SHUTDOWN_GRACE)
                         } else {
                             Verdict::Nothing
                         }
@@ -781,7 +810,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
                 if let Some(conn) = slab.get_mut(token) {
                     if !conn.grace_armed {
                         conn.grace_armed = true;
-                        timers.set(token, K_GRACE, Instant::now() + shutdown_grace());
+                        timers.set(token, K_GRACE, Instant::now() + SHUTDOWN_GRACE);
                     }
                 }
             }
@@ -841,8 +870,7 @@ fn drive(
 ) -> Option<Close> {
     loop {
         let now = Instant::now();
-        // Output first: acks precede further reads, like the blocking
-        // handler's write-then-read order.
+        // Output first: acks precede further reads.
         while conn.out_pos < conn.out.len() {
             match conn.stream.write(&conn.out[conn.out_pos..]) {
                 Ok(0) => {
@@ -852,8 +880,7 @@ fn drive(
                 }
                 Ok(n) => {
                     conn.out_pos += n;
-                    // Progress resets the slow-consumer clock, like a
-                    // blocking write timeout does.
+                    // Progress resets the slow-consumer clock.
                     if conn.write_timer_armed {
                         timers.clear(token, K_WRITE);
                         conn.write_timer_armed = false;
@@ -890,8 +917,7 @@ fn drive(
             return Some(close);
         }
 
-        // Shutdown is honored between frames, like the blocking
-        // handler's check between reads.
+        // Shutdown is honored between frames only.
         if shared.shutdown.load(Ordering::SeqCst)
             && conn.machine.at_boundary()
             && !conn.awaiting
@@ -986,7 +1012,7 @@ fn drive(
                         timers.set(token, K_IDLE, now + idle);
                     }
                     if conn.grace_armed {
-                        timers.set(token, K_GRACE, now + shutdown_grace());
+                        timers.set(token, K_GRACE, now + SHUTDOWN_GRACE);
                     }
                     continue;
                 }
@@ -1001,7 +1027,7 @@ fn drive(
         }
 
         // EOF is delivered only once everything read has been consumed
-        // and nothing is pending — exactly what the blocking reader saw.
+        // and nothing is pending, so no frame is cut short.
         if conn.eof_seen
             && conn.pending_in.is_empty()
             && !conn.awaiting
@@ -1096,8 +1122,8 @@ fn apply_actions(conn: &mut Conn, token: u64, shared: &ReactorShared<'_>) -> Opt
 }
 
 /// Removes a connection: timers cleared, charges released, the last
-/// bytes flushed best-effort (a `-` on a failed session, like the
-/// blocking path's fire-and-forget reject ack), counters updated, the
+/// bytes flushed best-effort (a `-` on a failed session is
+/// fire-and-forget), counters updated, the
 /// admission permit returned.
 fn close_conn(
     token: u64,

@@ -33,7 +33,8 @@
 //! # Fault injection
 //!
 //! The seams of this pipeline carry named failpoints (`crate::faults`):
-//! `frame-read`, `decode`, `commit-push`, and `ack-write` here, plus
+//! `frame-read`, `decode`, `commit-push`, and `ack-write` in the
+//! protocol machine, `absorb` in the absorber, plus
 //! `snap-write`/`snap-rename` in `crate::io`. They are inert unless a
 //! schedule is armed (`LDP_FAULTS`); the chaos suite drives them to prove
 //! the exactly-once claim under crash, torn-write, and disconnect
@@ -45,16 +46,19 @@
 //! the single-session guarantees, by splitting the work into three
 //! stages (diagrammed in `docs/ARCHITECTURE.md`):
 //!
-//! 1. **decode** — one handler thread per connection reads frames and
-//!    runs the session's [`BatchDecoder`]: parse, validate, and
-//!    pre-absorb into a private shard state. Malformed frames are
-//!    rejected *here* (`-` ack) and never reach the shared window.
+//! 1. **decode** — epoll reactor threads (`ldp-reactor`) read every
+//!    connection's nonblocking socket and feed the bytes to its protocol
+//!    [`crate::machine::Machine`], which runs the session's
+//!    [`crate::session::BatchDecoder`]: parse, validate, and pre-absorb
+//!    into a private shard state. Malformed frames are rejected *here*
+//!    (`-` ack) and never reach the shared window.
 //! 2. **absorb** — prepared batches flow through a bounded queue
-//!    ([`ldp_pool::chan`], blocking `push` = backpressure to the TCP
-//!    peers) into a single absorber that owns the session; state merges
-//!    stay serialized, so the final window is bit-identical to a
-//!    single-connection ingest of the concatenated frames. The handler
-//!    sends its `+` ack only after the absorber commits.
+//!    ([`ldp_pool::chan`]; a connection whose batch does not fit is
+//!    parked and stops being read = backpressure to the TCP peers) into a
+//!    single absorber that owns the session; state merges stay
+//!    serialized, so the final window is bit-identical to a
+//!    single-connection ingest of the concatenated frames. The
+//!    connection's `+` ack goes out only after the absorber commits.
 //! 3. **snapshot** — on each cadence crossing the absorber *publishes*
 //!    the rendered snapshot to a latest-wins
 //!    [`ldp_core::snapshot::SnapshotSpool`]; a dedicated
@@ -66,7 +70,7 @@
 //! A collector sized for millions of users must **shed** load it cannot
 //! absorb, not queue it until memory or latency explodes. Four defenses
 //! stack on the pipeline, each answering `!busy <retry-ms>`
-//! ([`protocol::encode_busy`]) — the transient verdict distinct from the
+//! ([`crate::protocol::encode_busy`]) — the transient verdict distinct from the
 //! permanent `-` reject, always sent *before* anything was absorbed so a
 //! retry is safe for bare and sequenced sessions alike:
 //!
@@ -95,17 +99,15 @@
 use crate::error::CollectorError;
 use crate::faults;
 use crate::io::write_snapshot_rotating;
-use crate::limit::TokenBucket;
-use crate::protocol;
-use crate::session::{BatchDecoder, CollectorSession, PreparedBatch};
+pub use crate::reactor_serve::serve_routed;
+use crate::session::{CollectorSession, PreparedBatch};
 use ldp_core::snapshot::SnapshotSpool;
-use ldp_pool::chan::{bounded, bounded_weighted, Sender};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default cap on a single frame's payload ([`ServeOptions::max_frame_bytes`]):
 /// refuse absurd frames instead of attempting a pathological allocation
@@ -116,22 +118,6 @@ pub const DEFAULT_MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// How many consecutive panics the snapshot-writer supervisor tolerates
 /// before declaring the stage dead and winding the serve loop down.
 const MAX_WRITER_RESTARTS: u64 = 3;
-
-/// How long a blocking read waits before re-checking the shutdown flag —
-/// the granularity of "shutdown is checked between frames".
-pub(crate) const READ_TICK: Duration = Duration::from_millis(100);
-
-/// How long the acceptor sleeps between polls of a quiet listen socket.
-pub(crate) const ACCEPT_TICK: Duration = Duration::from_millis(20);
-
-/// Longest the acceptor sleeps after a transient accept failure
-/// (fd exhaustion). The backoff doubles from [`ACCEPT_TICK`] up to this
-/// cap and resets on the next successful accept.
-pub(crate) const ACCEPT_BACKOFF_CAP: Duration = Duration::from_secs(1);
-
-/// Once shutdown is requested, how many silent read ticks a handler
-/// tolerates mid-frame before abandoning the stalled peer (~5 s).
-pub(crate) const SHUTDOWN_GRACE_TICKS: u32 = 50;
 
 /// When (and where) the ingestion loop persists the window.
 #[derive(Debug, Clone, Default)]
@@ -149,7 +135,7 @@ pub struct SnapshotPolicy {
 impl SnapshotPolicy {
     /// Whether a batch that moved the count from `before` to `after`
     /// crossed a cadence boundary — the one cadence rule, shared by the
-    /// serial loop, the concurrent absorber, and the `ingest` subcommand.
+    /// concurrent absorber and the `ingest` subcommand.
     #[must_use]
     pub fn due(&self, before: u64, after: u64) -> bool {
         self.path.is_some() && self.every > 0 && after / self.every > before / self.every
@@ -188,178 +174,6 @@ pub fn write_frame(stream: &mut TcpStream, payload: &str) -> std::io::Result<()>
     stream.write_all(payload.as_bytes())
 }
 
-/// Reads one frame; `Ok(None)` is the end-of-stream frame (`length = 0`).
-/// Frames above [`DEFAULT_MAX_FRAME_BYTES`] are refused; use
-/// [`read_frame_capped`] to choose the cap.
-pub fn read_frame(stream: &mut TcpStream) -> Result<Option<String>, CollectorError> {
-    read_frame_capped(stream, DEFAULT_MAX_FRAME_BYTES)
-}
-
-/// [`read_frame`] with an explicit frame-size cap: an oversized length
-/// header is rejected **before** the payload buffer is allocated, so a
-/// hostile or corrupted length word can never trigger the allocation it
-/// names.
-pub fn read_frame_capped(
-    stream: &mut TcpStream,
-    max_frame_bytes: u32,
-) -> Result<Option<String>, CollectorError> {
-    let mut len_bytes = [0u8; 4];
-    stream
-        .read_exact(&mut len_bytes)
-        .map_err(|e| CollectorError::Protocol(format!("reading frame length: {e}")))?;
-    let len = u32::from_be_bytes(len_bytes);
-    if len == 0 {
-        return Ok(None);
-    }
-    if len > max_frame_bytes {
-        return Err(CollectorError::Protocol(format!(
-            "frame of {len} bytes exceeds the {max_frame_bytes}-byte limit"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream
-        .read_exact(&mut payload)
-        .map_err(|e| CollectorError::Protocol(format!("reading {len}-byte frame: {e}")))?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|e| CollectorError::Protocol(format!("frame is not UTF-8: {e}")))
-}
-
-/// Runs the ingestion loop over one accepted connection: absorb each
-/// frame (acking `+`/`-`), snapshot on the policy's cadence, and on the
-/// end-of-stream frame write a final snapshot and return the total
-/// absorbed-report count.
-///
-/// A rejected frame (`-` ack) absorbs nothing — [`CollectorSession::ingest_text`]
-/// is all-or-nothing — and ends the connection with the window intact, so
-/// a subsequent connection (or file replay) can continue it.
-///
-/// Speaks both session flavors: a first frame that is a hello
-/// (`crate::protocol`) upgrades the connection to the sequenced
-/// exactly-once protocol (dedup against the session's persisted cursor);
-/// any other first frame keeps the bare at-least-once semantics. This is
-/// the serial engine; everything here is synchronous, so the sequenced
-/// "durable before the closing ack" guarantee holds by construction.
-pub fn serve_connection(
-    stream: &mut TcpStream,
-    session: &mut dyn CollectorSession,
-    policy: &SnapshotPolicy,
-) -> Result<u64, CollectorError> {
-    serve_connection_capped(stream, session, policy, DEFAULT_MAX_FRAME_BYTES)
-}
-
-/// [`serve_connection`] with an explicit `--max-frame-bytes` cap — the
-/// serial engine's half of the frame-size defense (the concurrent engine
-/// takes the same cap through [`ServeOptions::max_frame_bytes`]).
-pub fn serve_connection_capped(
-    stream: &mut TcpStream,
-    session: &mut dyn CollectorSession,
-    policy: &SnapshotPolicy,
-    max_frame_bytes: u32,
-) -> Result<u64, CollectorError> {
-    let mut first = true;
-    let mut sequenced: Option<String> = None;
-    loop {
-        match read_frame_capped(stream, max_frame_bytes) {
-            Ok(Some(payload)) => {
-                if std::mem::take(&mut first) && protocol::is_hello(&payload) {
-                    let hello = match protocol::parse_hello(&payload) {
-                        Ok(h) => h,
-                        Err(e) => {
-                            let _ = stream.write_all(b"-");
-                            return Err(e);
-                        }
-                    };
-                    if let Some(name) = hello.window.as_deref().filter(|w| *w != "default") {
-                        let _ = stream.write_all(b"-");
-                        return Err(CollectorError::Protocol(format!(
-                            "hello names unknown window {name:?} (serving: default)"
-                        )));
-                    }
-                    let cursor = session.session_cursor(&hello.session);
-                    if hello.horizon > cursor {
-                        let _ = stream.write_all(b"-");
-                        return Err(CollectorError::Protocol(format!(
-                            "session {:?}: client replay horizon {} is beyond the collector \
-                             cursor {cursor} — the missing frames cannot be recovered",
-                            hello.session, hello.horizon
-                        )));
-                    }
-                    stream
-                        .write_all(&protocol::encode_hello_ack(cursor))
-                        .map_err(|e| CollectorError::Io(format!("writing hello ack: {e}")))?;
-                    sequenced = Some(hello.session);
-                    continue;
-                }
-                let before = session.count();
-                let outcome = match &sequenced {
-                    None => session.ingest_text(&payload).map(|_| ()),
-                    Some(id) => protocol::split_seq_frame(&payload).and_then(|(seq, body)| {
-                        let cursor = session.session_cursor(id);
-                        if seq < cursor {
-                            // A replay of an already-committed frame:
-                            // idempotent success, nothing absorbed.
-                            Ok(())
-                        } else if seq > cursor {
-                            Err(CollectorError::Protocol(format!(
-                                "session {id:?}: frame seq {seq} skips ahead of cursor {cursor}"
-                            )))
-                        } else {
-                            session.ingest_text(body)?;
-                            session.set_session_cursor(id, seq + 1);
-                            Ok(())
-                        }
-                    }),
-                };
-                match outcome {
-                    Ok(()) => {
-                        policy.apply(session, before, false)?;
-                        let _ = stream.write_all(b"+");
-                    }
-                    Err(e) => {
-                        let _ = stream.write_all(b"-");
-                        return Err(e);
-                    }
-                }
-            }
-            Ok(None) => {
-                policy.apply(session, session.count(), true)?;
-                let _ = stream.write_all(b"+");
-                return Ok(session.count());
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Accepts one connection on `listener` and runs [`serve_connection`].
-///
-/// This is the single-session engine: it blocks on exactly one accept
-/// and returns when that stream ends. It is kept as a documented test
-/// helper (and behind the `serve --serial` flag) — production serving
-/// goes through [`serve`], which runs many sessions concurrently.
-pub fn serve_once(
-    listener: &TcpListener,
-    session: &mut dyn CollectorSession,
-    policy: &SnapshotPolicy,
-) -> Result<u64, CollectorError> {
-    serve_once_capped(listener, session, policy, DEFAULT_MAX_FRAME_BYTES)
-}
-
-/// [`serve_once`] with an explicit frame-size cap (`serve --serial
-/// --max-frame-bytes`).
-pub fn serve_once_capped(
-    listener: &TcpListener,
-    session: &mut dyn CollectorSession,
-    policy: &SnapshotPolicy,
-    max_frame_bytes: u32,
-) -> Result<u64, CollectorError> {
-    let (mut stream, _addr) = listener
-        .accept()
-        .map_err(|e| CollectorError::Io(format!("accept: {e}")))?;
-    serve_connection_capped(&mut stream, session, policy, max_frame_bytes)
-}
-
 /// Tuning for the concurrent [`serve`] loop.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -373,7 +187,7 @@ pub struct ServeOptions {
     /// [`ServeOptions::shutdown`] is raised).
     pub connections: u64,
     /// Capacity of the bounded decode→absorb queue. When the absorber
-    /// falls behind, handlers block here (and their peers' acks wait) —
+    /// falls behind, connections park here (and their peers' acks wait) —
     /// the memory bound on in-flight work.
     pub queue_depth: usize,
     /// Cooperative shutdown flag: raise it (from a signal watcher, a
@@ -393,7 +207,7 @@ pub struct ServeOptions {
     /// in [`ServeSummary::oversized_frames`].
     pub max_frame_bytes: u32,
     /// Per-connection rate cap in reports per second (`0.0` = unlimited).
-    /// Each connection owns a [`TokenBucket`] with `burst = rate`; an
+    /// Each connection owns a [`crate::limit::TokenBucket`] with `burst = rate`; an
     /// over-rate frame is shed with `!busy` (nothing absorbed, connection
     /// stays open) and counted in [`ServeSummary::rate_sheds`].
     pub max_rps_per_conn: f64,
@@ -415,17 +229,7 @@ pub struct ServeOptions {
     /// ack reported stays absorbed — a sequenced client re-learns it from
     /// the cursor at its next hello, exactly like an ack lost to a crash.
     pub ack_deadline: Option<Duration>,
-    /// Run the legacy thread-per-connection engine instead of the epoll
-    /// reactor (`serve --threads-per-conn`). The default engine runs
-    /// [`ServeOptions::reactor_threads`] nonblocking reactor threads and
-    /// multiplexes every connection across them; this escape hatch keeps
-    /// the one-thread-per-session engine available for debugging and for
-    /// platforms `ldp-reactor` does not build on. The
-    /// `LDP_SERVE_ENGINE` environment variable (`reactor` / `threaded`)
-    /// overrides this flag — the CI compat lanes use it to run the whole
-    /// suite under either engine without code changes.
-    pub threads_per_conn: bool,
-    /// Reactor threads for the default engine (`0` = the shared pool
+    /// Reactor threads (`0` = the shared pool
     /// sizing, [`ldp_pool::configured_threads`]). Each thread owns an
     /// epoll instance and a share of the connections; see
     /// `docs/OPERATIONS.md` ("Scaling the listener") for sizing.
@@ -446,7 +250,6 @@ impl Default for ServeOptions {
             report_quota: 0,
             busy_retry: Duration::from_millis(200),
             ack_deadline: None,
-            threads_per_conn: false,
             reactor_threads: 0,
         }
     }
@@ -599,10 +402,9 @@ pub(crate) enum CommitReply {
     Flush(Result<u64, CollectorError>),
 }
 
-/// The absorber's completion callback for one [`Commit`] — the seam that
-/// lets both engines share one absorber: the threaded engine's callback
-/// fills a oneshot channel its handler blocks on; the reactor engine's
-/// posts to the owning reactor thread's mailbox and wakes it.
+/// The absorber's completion callback for one [`Commit`]: the reactor's
+/// callback posts the reply to the owning reactor thread's mailbox and
+/// wakes it.
 ///
 /// Dropping an unresolved `Done` fires it with `None` ("the absorber
 /// stopped before answering") — a commit drained and dropped by a dying
@@ -634,7 +436,7 @@ pub(crate) enum Commit {
     /// A sequenced session's hello: resolve the dedup cursor (serialized
     /// with absorption, so the answer can never race a commit).
     Hello { session: String, done: Done },
-    /// A decoded batch plus the completion the handler acks on. `seq` is
+    /// A decoded batch plus the completion the connection acks on. `seq` is
     /// the sequenced session's `(id, sequence)` — `None` for bare
     /// sessions.
     Batch {
@@ -646,276 +448,6 @@ pub(crate) enum Commit {
     /// For a sequenced session the ack waits until the snapshot is
     /// durable — the client retires its replay buffer on this ack.
     Flush { sequenced: bool, done: Done },
-}
-
-/// What an interruptible frame read yielded.
-enum FrameRead {
-    /// A payload frame.
-    Payload(String),
-    /// The explicit `length = 0` end-of-stream frame.
-    EndOfStream,
-    /// The shutdown flag was raised at a frame boundary.
-    ShutdownRequested,
-    /// The peer closed the socket at a frame boundary (no end-of-stream
-    /// frame).
-    PeerClosed,
-    /// The peer sent nothing for [`ServeOptions::idle_timeout`] at a
-    /// frame boundary.
-    IdleTimeout,
-    /// The length header exceeded [`ServeOptions::max_frame_bytes`]; the
-    /// payload was **not** read (and never allocated).
-    Oversized(u32),
-}
-
-enum Fill {
-    Full,
-    Eof,
-    Shutdown,
-    Idle,
-}
-
-/// Reads exactly `buf.len()` bytes, waking every [`READ_TICK`] to check
-/// `shutdown`. `at_boundary` marks the read that starts a frame: only
-/// there may the read end early with `Eof`/`Shutdown`/`Idle` — mid-frame,
-/// EOF is a protocol violation, idleness is tolerated (a slow frame is
-/// backpressure), and shutdown waits for the frame to finish (bounded by
-/// [`SHUTDOWN_GRACE_TICKS`] against a stalled peer).
-fn fill(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    at_boundary: bool,
-    idle_timeout: Option<Duration>,
-) -> Result<Fill, CollectorError> {
-    let mut filled = 0;
-    let mut stalled_ticks = 0u32;
-    let idle_deadline = idle_timeout
-        .filter(|_| at_boundary)
-        .map(|d| Instant::now() + d);
-    while filled < buf.len() {
-        if at_boundary && filled == 0 && shutdown.load(Ordering::SeqCst) {
-            return Ok(Fill::Shutdown);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if at_boundary && filled == 0 {
-                    return Ok(Fill::Eof);
-                }
-                return Err(CollectorError::Protocol(format!(
-                    "connection closed after {filled} of {} frame bytes",
-                    buf.len()
-                )));
-            }
-            Ok(n) => {
-                filled += n;
-                stalled_ticks = 0;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if filled == 0 {
-                    if let Some(deadline) = idle_deadline {
-                        if Instant::now() >= deadline {
-                            return Ok(Fill::Idle);
-                        }
-                    }
-                }
-                if shutdown.load(Ordering::SeqCst) && !(at_boundary && filled == 0) {
-                    stalled_ticks += 1;
-                    if stalled_ticks > SHUTDOWN_GRACE_TICKS {
-                        return Err(CollectorError::Protocol(
-                            "peer stalled mid-frame during shutdown".into(),
-                        ));
-                    }
-                }
-            }
-            Err(e) => {
-                return Err(CollectorError::Protocol(format!("reading frame: {e}")));
-            }
-        }
-    }
-    Ok(Fill::Full)
-}
-
-/// [`read_frame`] with cooperative shutdown and the idle clock: requires
-/// the stream to have a read timeout set (the wake-up tick) and
-/// distinguishes the clean frame-boundary endings from protocol
-/// violations.
-///
-/// `before_alloc` runs between validating the length header and
-/// allocating the payload buffer — the handler charges the frame's bytes
-/// against the pipeline's memory budget there, so the budget covers the
-/// decode buffer from the instant it exists.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-    idle_timeout: Option<Duration>,
-    max_frame_bytes: u32,
-    before_alloc: &mut dyn FnMut(usize) -> Result<(), CollectorError>,
-) -> Result<FrameRead, CollectorError> {
-    if faults::hit("frame-read").is_some() {
-        return Err(faults::error("frame-read"));
-    }
-    let mut len_bytes = [0u8; 4];
-    match fill(stream, &mut len_bytes, shutdown, true, idle_timeout)? {
-        Fill::Shutdown => return Ok(FrameRead::ShutdownRequested),
-        Fill::Eof => return Ok(FrameRead::PeerClosed),
-        Fill::Idle => return Ok(FrameRead::IdleTimeout),
-        Fill::Full => {}
-    }
-    let len = u32::from_be_bytes(len_bytes);
-    if len == 0 {
-        return Ok(FrameRead::EndOfStream);
-    }
-    if len > max_frame_bytes {
-        return Ok(FrameRead::Oversized(len));
-    }
-    before_alloc(len as usize)?;
-    let mut payload = vec![0u8; len as usize];
-    match fill(stream, &mut payload, shutdown, false, None)? {
-        Fill::Full => {}
-        // fill() never ends early off-boundary.
-        Fill::Eof | Fill::Shutdown | Fill::Idle => unreachable!(),
-    }
-    String::from_utf8(payload)
-        .map(FrameRead::Payload)
-        .map_err(|e| CollectorError::Protocol(format!("frame is not UTF-8: {e}")))
-}
-
-/// How one concurrent session ended (errors are returned separately).
-enum SessionEnd {
-    /// Clean end-of-stream frame, final `+` sent.
-    EndOfStream,
-    /// Shutdown was requested between frames.
-    Shutdown,
-    /// The peer disconnected between frames without an end-of-stream.
-    PeerClosed,
-    /// The peer idled past [`ServeOptions::idle_timeout`] between frames.
-    Idle,
-    /// The peer stopped draining acks past [`ServeOptions::ack_deadline`]
-    /// and was evicted (the committed state stands; only the ack was never
-    /// delivered — the crash-window semantics sequenced sessions already
-    /// handle).
-    Evicted,
-}
-
-/// What writing a success ack did.
-enum AckWrite {
-    /// Delivered.
-    Delivered,
-    /// The write timed out against [`ServeOptions::ack_deadline`] (or the
-    /// `ack-evict` failpoint simulated it): evict the slow consumer.
-    Evict,
-}
-
-/// Writes a success ack through the `ack-write` failpoint — the canonical
-/// crash window: the absorber has committed, the client has not heard.
-/// With an [`ServeOptions::ack_deadline`] armed (as a socket write
-/// timeout), a blocked write surfaces as [`AckWrite::Evict`] instead of
-/// holding the handler slot forever.
-fn write_success_ack(stream: &mut TcpStream, ack: &[u8]) -> Result<AckWrite, CollectorError> {
-    if faults::hit("ack-write").is_some() {
-        return Err(faults::error("ack-write"));
-    }
-    if faults::hit("ack-evict").is_some() {
-        return Ok(AckWrite::Evict);
-    }
-    match stream.write_all(ack) {
-        Ok(()) => Ok(AckWrite::Delivered),
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            Ok(AckWrite::Evict)
-        }
-        Err(e) => Err(CollectorError::Io(format!("writing ack: {e}"))),
-    }
-}
-
-/// The per-connection limits [`serve`] distills from its [`ServeOptions`].
-struct ConnLimits {
-    max_frame_bytes: u32,
-    /// Reports/second cap for this connection's token bucket (`None` =
-    /// unlimited).
-    rate: Option<f64>,
-    ack_deadline: Option<Duration>,
-    idle_timeout: Option<Duration>,
-}
-
-/// The shed/evict tallies a handler reports into (a slice of the serve
-/// loop's counter block).
-struct ConnCounters<'a> {
-    rate_sheds: &'a AtomicU64,
-    oversized: &'a AtomicU64,
-}
-
-/// A byte-budget charge acquired before a payload allocation. Dropping
-/// the guard releases the charge (every early-out path: hello frames,
-/// rate sheds, decode failures, injected faults); [`ByteCharge::take`]
-/// transfers it to the queued commit instead, where the receiver releases
-/// it at pop.
-struct ByteCharge<'a> {
-    commits: &'a Sender<Commit>,
-    bytes: usize,
-}
-
-impl ByteCharge<'_> {
-    fn take(&mut self) -> usize {
-        std::mem::take(&mut self.bytes)
-    }
-}
-
-impl Drop for ByteCharge<'_> {
-    fn drop(&mut self) {
-        if self.bytes > 0 {
-            self.commits.unreserve(self.bytes);
-        }
-    }
-}
-
-/// Writes a `!busy <retry-ms>` shed response. A peer too slow to take
-/// even the shed (write timeout) is evicted rather than waited on.
-fn write_busy(stream: &mut TcpStream, retry: Duration) -> Result<AckWrite, CollectorError> {
-    let retry_ms = u32::try_from(retry.as_millis().max(1)).unwrap_or(u32::MAX);
-    match stream.write_all(&protocol::encode_busy(retry_ms)) {
-        Ok(()) => Ok(AckWrite::Delivered),
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            Ok(AckWrite::Evict)
-        }
-        Err(e) => Err(CollectorError::Io(format!("writing busy shed: {e}"))),
-    }
-}
-
-/// Best-effort `!busy` shed of a connection that was never admitted: tell
-/// the peer when to retry, then close. Write errors are ignored — the
-/// peer is being turned away either way, and a short write timeout keeps
-/// a hostile peer from stalling the acceptor.
-pub(crate) fn shed_at_accept(mut stream: TcpStream, retry: Duration) {
-    let retry_ms = u32::try_from(retry.as_millis().max(1)).unwrap_or(u32::MAX);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.write_all(&protocol::encode_busy(retry_ms));
-}
-
-/// Whether an accept error is the process (`EMFILE`) or host (`ENFILE`)
-/// running out of file descriptors — transient pressure the accept loop
-/// must survive with backoff, never a reason to drop live sessions.
-pub(crate) fn is_fd_exhaustion(e: &std::io::Error) -> bool {
-    matches!(
-        e.raw_os_error(),
-        Some(23 /* ENFILE */) | Some(24 /* EMFILE */)
-    )
 }
 
 /// Renders a caught panic payload for error reports (panics carry
@@ -930,9 +462,8 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The counters and stages one window's absorber reports into — shared
-/// between the threaded engine (one window) and the reactor engine (one
-/// per routed window).
+/// The counters and stages one window's absorber reports into (one per
+/// routed window).
 pub(crate) struct AbsorberShared<'a> {
     pub(crate) policy: &'a SnapshotPolicy,
     pub(crate) spool: &'a SnapshotSpool,
@@ -945,7 +476,7 @@ pub(crate) struct AbsorberShared<'a> {
 
 /// Applies one [`Commit`] to the window — **the** serialization point:
 /// cursor dedup, state merge, cadence publish, and durability waits all
-/// happen here, in queue order, whichever engine queued the commit.
+/// happen here, in queue order, whichever connection queued the commit.
 pub(crate) fn absorb_commit(
     session: &mut dyn CollectorSession,
     shared: &AbsorberShared<'_>,
@@ -1027,8 +558,7 @@ pub(crate) fn absorb_commit(
 /// taken generation under the policy, retry a panicking persist in place
 /// (bounded by [`MAX_WRITER_RESTARTS`]), and on giving up poison the
 /// spool and raise shutdown so durability waiters fail instead of
-/// hanging. Shared verbatim by both engines; the reactor engine runs one
-/// per routed window.
+/// hanging. Serve runs one per routed window.
 pub(crate) fn run_writer(
     spool: &SnapshotSpool,
     policy: &SnapshotPolicy,
@@ -1065,213 +595,6 @@ pub(crate) fn run_writer(
     }
 }
 
-/// One connection's serve loop: read a frame, decode it *on this thread*
-/// via the shared [`BatchDecoder`], hand the prepared batch to the
-/// absorber over the bounded queue, and ack `+` only after the absorber
-/// commits. Decode failures ack `-` immediately — the absorber never
-/// sees the frame, preserving atomic rejection.
-///
-/// A hello first frame switches the connection to the sequenced protocol:
-/// the dedup cursor is resolved by the absorber (racing a commit is
-/// impossible), the client's replay horizon is validated against it, and
-/// every later frame must carry its `seq` line.
-///
-/// Overload defenses ([`ConnLimits`]): oversized length headers are
-/// rejected before allocation; every payload's bytes are charged against
-/// the pipeline budget before its buffer exists; over-rate frames are
-/// shed with `!busy` (nothing absorbed — the peer re-sends the same
-/// frame); ack writes past the deadline evict the slow consumer.
-fn handle_connection(
-    stream: &mut TcpStream,
-    decoder: &dyn BatchDecoder,
-    commits: &Sender<Commit>,
-    shutdown: &AtomicBool,
-    limits: &ConnLimits,
-    counters: &ConnCounters<'_>,
-) -> Result<SessionEnd, CollectorError> {
-    stream
-        .set_read_timeout(Some(READ_TICK))
-        .map_err(|e| CollectorError::Io(format!("set_read_timeout: {e}")))?;
-    if limits.ack_deadline.is_some() {
-        stream
-            .set_write_timeout(limits.ack_deadline)
-            .map_err(|e| CollectorError::Io(format!("set_write_timeout: {e}")))?;
-    }
-    let mut bucket = limits
-        .rate
-        .map(|rate| TokenBucket::new(rate, rate, Instant::now()));
-    let absorber_gone =
-        || CollectorError::Io("the absorber stopped before the session ended".into());
-    let mut first = true;
-    let mut sequenced: Option<String> = None;
-    loop {
-        let mut reserved = 0usize;
-        let read = {
-            let mut before_alloc = |len: usize| {
-                commits.reserve(len).map_err(|_| absorber_gone())?;
-                reserved = len;
-                Ok(())
-            };
-            read_frame_interruptible(
-                stream,
-                shutdown,
-                limits.idle_timeout,
-                limits.max_frame_bytes,
-                &mut before_alloc,
-            )
-        };
-        // From here to queue handoff the frame's bytes are charged; the
-        // guard releases them on every path that doesn't push a batch.
-        let mut charge = ByteCharge {
-            commits,
-            bytes: reserved,
-        };
-        match read? {
-            FrameRead::Payload(text) => {
-                if std::mem::take(&mut first) && protocol::is_hello(&text) {
-                    let hello = match protocol::parse_hello(&text) {
-                        Ok(h) => h,
-                        Err(e) => {
-                            let _ = stream.write_all(b"-");
-                            return Err(e);
-                        }
-                    };
-                    if let Some(name) = hello.window.as_deref().filter(|w| *w != "default") {
-                        let _ = stream.write_all(b"-");
-                        return Err(CollectorError::Protocol(format!(
-                            "hello names unknown window {name:?} (serving: default)"
-                        )));
-                    }
-                    let (ack_tx, ack_rx) = bounded::<Option<CommitReply>>(1);
-                    let done = Done::new(move |reply| {
-                        let _ = ack_tx.push(reply);
-                    });
-                    commits
-                        .push(Commit::Hello {
-                            session: hello.session.clone(),
-                            done,
-                        })
-                        .map_err(|_| absorber_gone())?;
-                    let resume = match ack_rx.pop().flatten() {
-                        Some(CommitReply::Hello(resume)) => resume,
-                        _ => return Err(absorber_gone()),
-                    };
-                    if hello.horizon > resume.cursor {
-                        let _ = stream.write_all(b"-");
-                        return Err(CollectorError::Protocol(format!(
-                            "session {:?}: client replay horizon {} is beyond the collector \
-                             cursor {} — the missing frames cannot be recovered",
-                            hello.session, hello.horizon, resume.cursor
-                        )));
-                    }
-                    match write_success_ack(stream, &protocol::encode_hello_ack(resume.cursor))? {
-                        AckWrite::Delivered => {}
-                        AckWrite::Evict => return Ok(SessionEnd::Evicted),
-                    }
-                    sequenced = Some(hello.session);
-                    continue;
-                }
-                let (seq, body) = match &sequenced {
-                    None => (None, text.as_str()),
-                    Some(id) => match protocol::split_seq_frame(&text) {
-                        Ok((n, body)) => (Some((id.clone(), n)), body),
-                        Err(e) => {
-                            let _ = stream.write_all(b"-");
-                            return Err(e);
-                        }
-                    },
-                };
-                if let Some(bucket) = &mut bucket {
-                    let cost = body.lines().filter(|l| !l.trim().is_empty()).count() as u64;
-                    if let Err(wait) = bucket.admit_at(cost.max(1), Instant::now()) {
-                        // Over rate: shed the frame untouched. The charge
-                        // guard frees its bytes; the connection stays open
-                        // and the peer re-sends this same frame after the
-                        // hint — safe because nothing was absorbed.
-                        counters.rate_sheds.fetch_add(1, Ordering::SeqCst);
-                        match write_busy(stream, wait)? {
-                            AckWrite::Delivered => continue,
-                            AckWrite::Evict => return Ok(SessionEnd::Evicted),
-                        }
-                    }
-                }
-                if faults::hit("decode").is_some() {
-                    let _ = stream.write_all(b"-");
-                    return Err(faults::error("decode"));
-                }
-                let batch = match decoder.prepare(body) {
-                    Ok(batch) => batch,
-                    Err(e) => {
-                        let _ = stream.write_all(b"-");
-                        return Err(e);
-                    }
-                };
-                if faults::hit("commit-push").is_some() {
-                    return Err(faults::error("commit-push"));
-                }
-                let (ack_tx, ack_rx) = bounded::<Option<CommitReply>>(1);
-                let done = Done::new(move |reply| {
-                    let _ = ack_tx.push(reply);
-                });
-                let weight = charge.take();
-                commits
-                    .push_reserved(Commit::Batch { batch, seq, done }, weight)
-                    .map_err(|_| absorber_gone())?;
-                match ack_rx.pop().flatten() {
-                    Some(CommitReply::Batch(Ok(_outcome))) => {
-                        match write_success_ack(stream, b"+")? {
-                            AckWrite::Delivered => {}
-                            AckWrite::Evict => return Ok(SessionEnd::Evicted),
-                        }
-                    }
-                    Some(CommitReply::Batch(Err(e))) => {
-                        let _ = stream.write_all(b"-");
-                        return Err(e);
-                    }
-                    _ => return Err(absorber_gone()),
-                }
-            }
-            FrameRead::EndOfStream => {
-                let (ack_tx, ack_rx) = bounded::<Option<CommitReply>>(1);
-                let done = Done::new(move |reply| {
-                    let _ = ack_tx.push(reply);
-                });
-                commits
-                    .push(Commit::Flush {
-                        sequenced: sequenced.is_some(),
-                        done,
-                    })
-                    .map_err(|_| absorber_gone())?;
-                match ack_rx.pop().flatten() {
-                    Some(CommitReply::Flush(Ok(_))) => {
-                        match write_success_ack(stream, b"+")? {
-                            AckWrite::Delivered => {}
-                            AckWrite::Evict => return Ok(SessionEnd::Evicted),
-                        }
-                        return Ok(SessionEnd::EndOfStream);
-                    }
-                    Some(CommitReply::Flush(Err(e))) => {
-                        let _ = stream.write_all(b"-");
-                        return Err(e);
-                    }
-                    _ => return Err(absorber_gone()),
-                }
-            }
-            FrameRead::ShutdownRequested => return Ok(SessionEnd::Shutdown),
-            FrameRead::PeerClosed => return Ok(SessionEnd::PeerClosed),
-            FrameRead::IdleTimeout => return Ok(SessionEnd::Idle),
-            FrameRead::Oversized(len) => {
-                counters.oversized.fetch_add(1, Ordering::SeqCst);
-                let _ = stream.write_all(b"-");
-                return Err(CollectorError::Protocol(format!(
-                    "frame of {len} bytes exceeds the {}-byte limit",
-                    limits.max_frame_bytes
-                )));
-            }
-        }
-    }
-}
-
 /// A named estimation window served next to the default one by
 /// [`serve_routed`]: its own session (mechanism + state), its own
 /// snapshot policy, its own absorber/snapshot pipeline. A sequenced
@@ -1288,19 +611,14 @@ pub struct WindowRoute {
     pub policy: SnapshotPolicy,
 }
 
-/// Serves many concurrent framed TCP sessions — the `serve` subcommand's
-/// engine dispatcher.
+/// Serves many concurrent framed TCP sessions — the `serve` subcommand.
 ///
-/// The default engine is the nonblocking **epoll reactor**
-/// (`ldp-reactor`): [`ServeOptions::reactor_threads`] threads each own an
-/// epoll instance and multiplex their share of the connections through
-/// the resumable protocol machine ([`crate::machine`]), so thousands of
-/// mostly-idle sessions cost file descriptors, not stacks. Set
-/// [`ServeOptions::threads_per_conn`] (or `LDP_SERVE_ENGINE=threaded`)
-/// for the legacy one-thread-per-session engine; `LDP_SERVE_ENGINE=reactor`
-/// forces the reactor. Both engines share the same absorber, snapshot
-/// writer, overload defenses, and failpoints — the whole chaos and stress
-/// suite holds bit-identically under either.
+/// The engine is the nonblocking **epoll reactor** (`ldp-reactor`):
+/// [`ServeOptions::reactor_threads`] threads each own an epoll instance
+/// and multiplex their share of the connections through the resumable
+/// protocol machine ([`crate::machine`]), so thousands of mostly-idle
+/// sessions cost file descriptors, not stacks. A single session is just
+/// `connections: 1`.
 ///
 /// The structure (see the module docs and `docs/ARCHITECTURE.md`): an
 /// acceptor admits connections (shedding `!busy` beyond
@@ -1324,7 +642,7 @@ pub struct WindowRoute {
 /// # Supervision
 ///
 /// The absorber runs under a supervisor: if it panics, the loop quiesces
-/// (shutdown raised, every blocked handler fails fast), a final durable
+/// (shutdown raised, every waiting connection fails fast), a final durable
 /// snapshot covering **every acked frame** is still attempted, and serve
 /// returns [`CollectorError::Panicked`] instead of wedging. A panicked
 /// snapshot-writer stage is restarted in place a bounded number of times
@@ -1341,347 +659,11 @@ pub fn serve(
     serve_routed(listener, session, policy, options, &mut [])
 }
 
-/// [`serve`] with additional named windows: a hello frame carrying
-/// `window <name>` routes its whole session to that window's own
-/// absorber/snapshot pipeline; sessions without the line (and bare
-/// at-least-once sessions) land in the default window. Requires the
-/// reactor engine — the thread-per-connection escape hatch predates
-/// routing and refuses a routed configuration rather than silently
-/// merging windows.
-pub fn serve_routed(
-    listener: &TcpListener,
-    session: &mut dyn CollectorSession,
-    policy: &SnapshotPolicy,
-    options: &ServeOptions,
-    windows: &mut [WindowRoute],
-) -> Result<ServeSummary, CollectorError> {
-    let threaded = match std::env::var("LDP_SERVE_ENGINE").as_deref() {
-        Ok("threaded") => true,
-        Ok("reactor") => false,
-        Ok(other) => {
-            return Err(CollectorError::Spec(format!(
-                "LDP_SERVE_ENGINE must be \"reactor\" or \"threaded\", not {other:?}"
-            )))
-        }
-        Err(_) => options.threads_per_conn,
-    };
-    if threaded {
-        if !windows.is_empty() {
-            return Err(CollectorError::Spec(
-                "--window routing requires the reactor engine (drop --threads-per-conn)".into(),
-            ));
-        }
-        return serve_threaded(listener, session, policy, options);
-    }
-    crate::reactor_serve::serve_reactor(listener, session, policy, options, windows)
-}
-
-/// The legacy engine: one blocking handler thread per connection. Kept
-/// behind `serve --threads-per-conn` / `LDP_SERVE_ENGINE=threaded`; the
-/// shared absorber, writer, and admission logic make it behaviorally
-/// identical to the reactor for single-window serving.
-pub(crate) fn serve_threaded(
-    listener: &TcpListener,
-    session: &mut dyn CollectorSession,
-    policy: &SnapshotPolicy,
-    options: &ServeOptions,
-) -> Result<ServeSummary, CollectorError> {
-    let start_count = session.count();
-    let decoder = session.batch_decoder();
-    let max_connections = options.max_connections.max(1);
-    let (commit_tx, commit_rx) =
-        bounded_weighted::<Commit>(options.queue_depth.max(1), options.memory_budget_bytes);
-    // Connection permits: the acceptor takes one per live session,
-    // handlers return theirs on exit. MPSC fits exactly: many handlers
-    // push permits back, one acceptor pops them.
-    let (permit_tx, permit_rx) = bounded::<()>(max_connections);
-    for _ in 0..max_connections {
-        permit_tx
-            .push(())
-            .expect("filling a fresh permit channel cannot fail");
-    }
-    let spool = SnapshotSpool::new();
-    let accepted = AtomicU64::new(0);
-    let completed = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let duplicates = AtomicU64::new(0);
-    let resumed = AtomicU64::new(0);
-    let idle_disconnects = AtomicU64::new(0);
-    let admission_sheds = AtomicU64::new(0);
-    let quota_sheds = AtomicU64::new(0);
-    let rate_sheds = AtomicU64::new(0);
-    let oversized_frames = AtomicU64::new(0);
-    let evictions = AtomicU64::new(0);
-    let accept_errors = AtomicU64::new(0);
-    let supervisor_restarts = AtomicU64::new(0);
-    let peak_queue_bytes = AtomicU64::new(0);
-    // The absorber publishes the running window count here so the
-    // acceptor can enforce the report quota without touching the session.
-    let absorbed_total = AtomicU64::new(start_count);
-    let faults_before = faults::injected();
-    let last_session_error: Mutex<Option<String>> = Mutex::new(None);
-    let writer_error: Mutex<Option<CollectorError>> = Mutex::new(None);
-    let accept_error: Mutex<Option<CollectorError>> = Mutex::new(None);
-    let absorber_panic: Mutex<Option<String>> = Mutex::new(None);
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| CollectorError::Io(format!("set_nonblocking: {e}")))?;
-
-    let scope_result = ldp_pool::service_scope(|scope| {
-        // Stage 3: the snapshot writer — the only thread doing snapshot
-        // I/O while the stream is live. On a persist failure it poisons
-        // the spool (so a sequenced flush waiting on durability fails
-        // instead of hanging) and raises shutdown: a window that can no
-        // longer persist should wind down, not keep acking. A *panic*
-        // during persist is supervised: the same generation is retried up
-        // to MAX_WRITER_RESTARTS times (a durability waiter must never
-        // hang on a generation that was taken but never marked), then the
-        // stage gives up through the same poison-and-shutdown path.
-        let spool_ref = &spool;
-        let writer_error_ref = &writer_error;
-        let writer_shutdown = Arc::clone(&options.shutdown);
-        let restarts_ref = &supervisor_restarts;
-        scope.spawn("snapshot-writer", move || {
-            run_writer(
-                spool_ref,
-                policy,
-                writer_error_ref,
-                &writer_shutdown,
-                restarts_ref,
-            );
-        });
-
-        // Stage 1: the acceptor and its per-connection handlers. A peer
-        // that cannot be admitted — no free handler slot, quota met, or
-        // an `admission` fault armed — is accepted just long enough to be
-        // told `!busy <retry-ms>` and closed: explicit, retryable
-        // backpressure instead of invisible time in the TCP backlog.
-        {
-            let commit_tx = commit_tx.clone();
-            let decoder = Arc::clone(&decoder);
-            let shutdown = Arc::clone(&options.shutdown);
-            let accepted_ref = &accepted;
-            let completed_ref = &completed;
-            let failed_ref = &failed;
-            let idle_ref = &idle_disconnects;
-            let admission_sheds_ref = &admission_sheds;
-            let quota_sheds_ref = &quota_sheds;
-            let rate_sheds_ref = &rate_sheds;
-            let oversized_ref = &oversized_frames;
-            let evictions_ref = &evictions;
-            let accept_errors_ref = &accept_errors;
-            let absorbed_ref = &absorbed_total;
-            let last_error_ref = &last_session_error;
-            let accept_error_ref = &accept_error;
-            let session_limit = options.connections;
-            let report_quota = options.report_quota;
-            let busy_retry = options.busy_retry;
-            let limits = Arc::new(ConnLimits {
-                max_frame_bytes: options.max_frame_bytes,
-                rate: (options.max_rps_per_conn > 0.0).then_some(options.max_rps_per_conn),
-                ack_deadline: options.ack_deadline,
-                idle_timeout: options.idle_timeout,
-            });
-            scope.spawn("acceptor", move || {
-                let mut permit_held = false;
-                let mut accept_backoff = ACCEPT_TICK;
-                loop {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if session_limit > 0 && accepted_ref.load(Ordering::SeqCst) >= session_limit {
-                        break;
-                    }
-                    let quota_met =
-                        report_quota > 0 && absorbed_ref.load(Ordering::SeqCst) >= report_quota;
-                    if !permit_held && !quota_met {
-                        permit_held = permit_rx.try_pop().is_some();
-                    }
-                    if faults::hit("accept").is_some() {
-                        // An injected accept failure (standing in for fd
-                        // exhaustion): back off and keep listening.
-                        accept_errors_ref.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(accept_backoff);
-                        accept_backoff = (accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
-                        continue;
-                    }
-                    match listener.accept() {
-                        Ok((mut stream, _addr)) => {
-                            accept_backoff = ACCEPT_TICK;
-                            // The listener's nonblocking flag is inherited
-                            // by accepted sockets on some platforms; both
-                            // the shed write and handler reads want
-                            // blocking I/O with explicit timeouts.
-                            let _ = stream.set_nonblocking(false);
-                            if quota_met {
-                                quota_sheds_ref.fetch_add(1, Ordering::SeqCst);
-                                shed_at_accept(stream, busy_retry);
-                                continue;
-                            }
-                            if !permit_held {
-                                admission_sheds_ref.fetch_add(1, Ordering::SeqCst);
-                                shed_at_accept(stream, busy_retry);
-                                continue;
-                            }
-                            if faults::hit("admission").is_some() {
-                                // Injected admission pressure: shed this
-                                // peer as if the fleet were full (the
-                                // permit stays held for the next one).
-                                admission_sheds_ref.fetch_add(1, Ordering::SeqCst);
-                                shed_at_accept(stream, busy_retry);
-                                continue;
-                            }
-                            permit_held = false;
-                            accepted_ref.fetch_add(1, Ordering::SeqCst);
-                            let commit_tx = commit_tx.clone();
-                            let permit_tx = permit_tx.clone();
-                            let decoder = Arc::clone(&decoder);
-                            let shutdown = Arc::clone(&shutdown);
-                            let limits = Arc::clone(&limits);
-                            scope.spawn("conn", move || {
-                                let counters = ConnCounters {
-                                    rate_sheds: rate_sheds_ref,
-                                    oversized: oversized_ref,
-                                };
-                                match handle_connection(
-                                    &mut stream,
-                                    decoder.as_ref(),
-                                    &commit_tx,
-                                    &shutdown,
-                                    &limits,
-                                    &counters,
-                                ) {
-                                    Ok(SessionEnd::EndOfStream) => {
-                                        completed_ref.fetch_add(1, Ordering::SeqCst);
-                                    }
-                                    Ok(SessionEnd::Shutdown) => {}
-                                    Ok(SessionEnd::PeerClosed) => {
-                                        failed_ref.fetch_add(1, Ordering::SeqCst);
-                                        *last_error_ref.lock().expect("last error lock") = Some(
-                                            "peer closed without an end-of-stream frame".into(),
-                                        );
-                                    }
-                                    Ok(SessionEnd::Idle) => {
-                                        idle_ref.fetch_add(1, Ordering::SeqCst);
-                                        *last_error_ref.lock().expect("last error lock") = Some(
-                                            "peer idled past --idle-timeout between frames".into(),
-                                        );
-                                    }
-                                    Ok(SessionEnd::Evicted) => {
-                                        evictions_ref.fetch_add(1, Ordering::SeqCst);
-                                        *last_error_ref.lock().expect("last error lock") =
-                                            Some("slow consumer evicted past --ack-deadline (committed state stands)".into());
-                                    }
-                                    Err(e) => {
-                                        failed_ref.fetch_add(1, Ordering::SeqCst);
-                                        *last_error_ref.lock().expect("last error lock") =
-                                            Some(e.to_string());
-                                    }
-                                }
-                                let _ = permit_tx.push(());
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_TICK);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) if is_fd_exhaustion(&e) => {
-                            // EMFILE/ENFILE: the process (or host) is out of
-                            // file descriptors. Crashing would drop every
-                            // live session over a transient condition —
-                            // instead back off (capped) and retry; handler
-                            // exits return fds continuously.
-                            accept_errors_ref.fetch_add(1, Ordering::SeqCst);
-                            std::thread::sleep(accept_backoff);
-                            accept_backoff = (accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
-                        }
-                        Err(e) => {
-                            *accept_error_ref.lock().expect("accept error lock") =
-                                Some(CollectorError::Io(format!("accept: {e}")));
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-
-        // Stage 2: this thread is the absorber — the single owner of the
-        // session. Drop the original sender so the queue disconnects
-        // once the acceptor and every handler are done. The loop runs
-        // under the supervisor's catch_unwind: a panic here must quiesce
-        // the pipeline and still reach the final-snapshot path below, not
-        // wedge every handler blocked on an ack.
-        drop(commit_tx);
-        let absorber = std::panic::AssertUnwindSafe(|| {
-            let shared = AbsorberShared {
-                policy,
-                spool: &spool,
-                duplicates: &duplicates,
-                resumed: &resumed,
-                absorbed_total: &absorbed_total,
-            };
-            while let Some(commit) = commit_rx.pop() {
-                absorb_commit(session, &shared, commit);
-            }
-        });
-        if let Err(panic) = std::panic::catch_unwind(absorber) {
-            *absorber_panic.lock().expect("absorber panic lock") =
-                Some(panic_message(panic.as_ref()));
-            // Quiesce: stop accepting, fail every blocked or future
-            // handler push fast (dropping the receiver disconnects the
-            // queue), and let the scope drain.
-            options.shutdown.store(true, Ordering::SeqCst);
-        }
-        peak_queue_bytes.store(commit_rx.peak_bytes() as u64, Ordering::SeqCst);
-        drop(commit_rx);
-        spool.close();
-    });
-    // Handlers want blocking accepts again if serve_once follows.
-    let _ = listener.set_nonblocking(false);
-    // The final durable snapshot, synchronous and attempted on *every*
-    // exit path — a contained panic must still leave each acked frame on
-    // disk: `serve` never returns with the window less persisted than the
-    // policy promises.
-    let final_snapshot = policy.apply(session, session.count(), true);
-    scope_result.map_err(|e| CollectorError::Io(format!("serve service failure: {e}")))?;
-    if let Some(msg) = absorber_panic.into_inner().expect("absorber panic lock") {
-        final_snapshot?;
-        return Err(CollectorError::Panicked(format!("absorber: {msg}")));
-    }
-    if let Some(e) = accept_error.into_inner().expect("accept error lock") {
-        return Err(e);
-    }
-    if let Some(e) = writer_error.into_inner().expect("writer error lock") {
-        return Err(e);
-    }
-    final_snapshot?;
-    Ok(ServeSummary {
-        accepted: accepted.into_inner(),
-        completed: completed.into_inner(),
-        failed: failed.into_inner(),
-        reports: session.count() - start_count,
-        snapshots_superseded: spool.superseded(),
-        duplicates_suppressed: duplicates.into_inner(),
-        sessions_resumed: resumed.into_inner(),
-        idle_disconnects: idle_disconnects.into_inner(),
-        admission_sheds: admission_sheds.into_inner(),
-        quota_sheds: quota_sheds.into_inner(),
-        rate_sheds: rate_sheds.into_inner(),
-        oversized_frames: oversized_frames.into_inner(),
-        evictions: evictions.into_inner(),
-        supervisor_restarts: supervisor_restarts.into_inner(),
-        peak_queue_bytes: peak_queue_bytes.into_inner(),
-        accept_errors: accept_errors.into_inner(),
-        faults_injected: faults::injected() - faults_before,
-        window_reports: Vec::new(),
-        last_session_error: last_session_error.into_inner().expect("last error lock"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::build_session;
+    use std::io::Read;
 
     /// A forwarder thread streaming frames; returns the acks it saw.
     fn forward(addr: std::net::SocketAddr, frames: Vec<String>, fin: bool) -> Vec<u8> {
@@ -1705,6 +687,19 @@ mod tests {
         acks
     }
 
+    /// Serves exactly one session on `listener`.
+    fn serve_one(
+        listener: &TcpListener,
+        session: &mut dyn CollectorSession,
+        policy: &SnapshotPolicy,
+    ) -> ServeSummary {
+        let options = ServeOptions {
+            connections: 1,
+            ..ServeOptions::default()
+        };
+        serve(listener, session, policy, &options).unwrap()
+    }
+
     #[test]
     fn framed_stream_equals_direct_ingestion() {
         let spec = "grr:eps=1,d=8";
@@ -1721,8 +716,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = std::thread::spawn(move || forward(addr, frames, true));
         let policy = SnapshotPolicy::default();
-        let n = serve_once(&listener, session.as_mut(), &policy).unwrap();
-        assert_eq!(n, 900);
+        let summary = serve_one(&listener, session.as_mut(), &policy);
+        assert_eq!(summary.reports, 900);
+        assert_eq!(session.count(), 900);
         assert_eq!(client.join().unwrap(), vec![b'+', b'+', b'+', b'+']);
         assert_eq!(session.finalize_text().unwrap(), expected);
     }
@@ -1732,14 +728,23 @@ mod tests {
         let spec = "grr:eps=1,d=8";
         let mut session = build_session(spec).unwrap();
         let good = session.gen_reports(100, 5).unwrap();
+        let bad = format!("{good}not-a-report\n");
+        // The decode failure the session must end with.
+        let decode_error = session
+            .batch_decoder()
+            .prepare(&bad)
+            .err()
+            .expect("the bad frame must fail to decode");
+        assert!(matches!(decode_error, CollectorError::Core(_)));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let frames = vec![good.clone(), format!("{good}not-a-report\n")];
+        let frames = vec![good, bad];
         let client = std::thread::spawn(move || forward(addr, frames, false));
         let policy = SnapshotPolicy::default();
-        let err = serve_once(&listener, session.as_mut(), &policy).unwrap_err();
-        assert!(matches!(err, CollectorError::Core(_)));
+        let summary = serve_one(&listener, session.as_mut(), &policy);
         assert_eq!(client.join().unwrap(), vec![b'+', b'-']);
+        assert_eq!(summary.failed, 1);
+        assert_eq!(summary.last_session_error, Some(decode_error.to_string()));
         // Only the good frame was absorbed; the window remains usable.
         assert_eq!(session.count(), 100);
         assert!(session.finalize_text().is_ok());
@@ -1764,7 +769,7 @@ mod tests {
             every: 250,
             keep: 0,
         };
-        serve_once(&listener, session.as_mut(), &policy).unwrap();
+        serve_one(&listener, session.as_mut(), &policy);
         client.join().unwrap();
         // The final snapshot recovers the full window.
         let mut recovered = build_session(spec).unwrap();

@@ -105,7 +105,7 @@ pub trait CollectorSession: Send {
     fn session_cursors(&self) -> SessionCursors;
 }
 
-/// A decoded and pre-absorbed batch in flight from a connection thread to
+/// A decoded and pre-absorbed batch in flight from a reactor thread to
 /// the absorber: a type-erased shard state plus its report count, stamped
 /// with the preparing configuration's fingerprint so a batch can never
 /// commit into the wrong window.
@@ -127,12 +127,12 @@ impl PreparedBatch {
 /// a clone of the mechanism configuration (mechanisms are cheap O(d̃)
 /// values) and turns frame payloads into [`PreparedBatch`]es without ever
 /// touching the shared window, so decode + validation fan out across
-/// connection threads while absorption stays serialized.
+/// reactor threads while absorption stays serialized.
 pub trait BatchDecoder: Send + Sync {
     /// Decodes every non-blank line of `text` and pre-absorbs the reports
     /// into a fresh shard state. Any malformed line fails the whole batch
     /// with nothing to commit — atomic frame rejection happens *here*, on
-    /// the connection thread, before the absorber ever sees the frame.
+    /// the reactor thread, before the absorber ever sees the frame.
     fn prepare(&self, text: &str) -> Result<PreparedBatch, CollectorError>;
 }
 

@@ -440,3 +440,63 @@ fn serve_shuts_down_when_the_shutdown_file_appears() {
     let header = stdout(&run_ok(bin().args(["inspect", snap.to_str().unwrap()])));
     assert!(header.contains("reports     300"), "{header}");
 }
+
+/// Runs a command that must be refused at argument parsing: it exits
+/// non-zero within a few seconds (a `serve` that ignored the bad flag
+/// would listen forever and be killed here). Returns its stderr.
+fn run_refused(args: &[&str]) -> String {
+    let mut child = bin()
+        .args(args)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("`ldp-collector {}` kept running", args.join(" "));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert!(!out.status.success());
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn a_misspelled_flag_is_refused_not_ignored() {
+    let stderr = run_refused(&[
+        "serve",
+        "--mechanism",
+        "grr:eps=1,d=8",
+        "--listen",
+        "127.0.0.1:0",
+        "--conections",
+        "1",
+        "--snapshot-evry",
+        "5",
+    ]);
+    assert!(stderr.contains("unknown flag --conections"), "{stderr}");
+    let stderr = run_refused(&["gen", "--mechanism", SPEC, "--n", "1", "--sed", "3"]);
+    assert!(stderr.contains("unknown flag --sed"), "{stderr}");
+}
+
+#[test]
+fn the_removed_engine_switches_are_refused() {
+    for switch in ["--serial", "--threads-per-conn"] {
+        let stderr = run_refused(&[
+            "serve",
+            switch,
+            "--mechanism",
+            "grr:eps=1,d=8",
+            "--listen",
+            "127.0.0.1:0",
+            "--connections",
+            "1",
+        ]);
+        assert!(
+            stderr.contains(&format!("unknown flag {switch}")),
+            "{stderr}"
+        );
+    }
+}

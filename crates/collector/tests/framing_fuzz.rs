@@ -1,13 +1,15 @@
 //! Property suite for the incremental protocol machine.
 //!
 //! The reactor feeds [`ldp_collector::machine::Machine`] whatever byte
-//! slices the kernel hands it, so the machine must produce the exact
-//! ack stream of the blocking reader no matter how the input is
-//! sliced. These tests drive the same exchanges three ways —
-//! byte-at-a-time through the machine, randomly-split through the
-//! machine, and over a real socket against the thread-per-connection
-//! engine — and assert the ack bytes and the finalized window are
-//! identical across all three.
+//! slices the kernel hands it, so the machine must produce the same ack
+//! stream no matter how the input is sliced. The oracle is a set of
+//! golden transcripts, `fixtures/framing_golden.txt`: for every exchange
+//! below it pins each connection's raw ack bytes, the final report count
+//! and the finalized window, as recorded from the straight-line blocking
+//! reader the machine was written to replace. Each exchange is driven
+//! three ways — byte-at-a-time through the machine, randomly split
+//! through the machine, and over a real socket against `serve` — and all
+//! three must reproduce the transcript byte for byte.
 
 use ldp_collector::machine::{
     Action, CommitDone, CommitRequest, Machine, MachineConfig, MachineEnd,
@@ -15,9 +17,13 @@ use ldp_collector::machine::{
 use ldp_collector::server::{serve, ServeOptions, SnapshotPolicy};
 use ldp_collector::session::CollectorSession;
 use ldp_collector::{build_session, protocol, CollectorError};
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Instant;
+
+/// The recorded transcripts every exchange is checked against.
+const GOLDEN: &str = include_str!("fixtures/framing_golden.txt");
 
 const SPEC: &str = "sw-ems:eps=1,d=16";
 
@@ -147,40 +153,103 @@ fn machine_acks(
     acks
 }
 
-/// Run the same per-connection inputs against the blocking
-/// thread-per-connection engine over a real socket, sequentially, and
-/// return each connection's raw ack bytes plus the finalized window.
-fn blocking_acks(
-    spec: &str,
-    inputs: &[Vec<u8>],
-    max_frame_bytes: u32,
-) -> (Vec<Vec<u8>>, String, u64) {
+/// What one exchange produced: each connection's raw ack bytes, the
+/// window's final report count, and its finalized estimate (empty for an
+/// empty window, which has nothing to finalize).
+#[derive(Debug, PartialEq, Eq)]
+struct Transcript {
+    acks: Vec<Vec<u8>>,
+    count: u64,
+    finalized: String,
+}
+
+impl Transcript {
+    fn of(acks: Vec<Vec<u8>>, session: &dyn CollectorSession) -> Transcript {
+        let finalized = if session.count() > 0 {
+            session.finalize_text().unwrap()
+        } else {
+            String::new()
+        };
+        Transcript {
+            acks,
+            count: session.count(),
+            finalized,
+        }
+    }
+
+    /// The fixture's text form of one case (see the fixture's header).
+    fn render(&self, case: &str) -> String {
+        let mut out = format!("case {case}\n");
+        for acks in &self.acks {
+            out.push_str("conn ");
+            for byte in acks {
+                write!(out, "{byte:02x}").unwrap();
+            }
+            out.push('\n');
+        }
+        writeln!(out, "count {}", self.count).unwrap();
+        for line in self.finalized.split('\n') {
+            writeln!(out, "|{line}").unwrap();
+        }
+        out.push_str("end\n");
+        out
+    }
+}
+
+/// Parses `case` out of the golden fixture.
+fn golden(case: &str) -> Transcript {
+    let header = format!("case {case}");
+    let lines = GOLDEN
+        .lines()
+        .skip_while(|line| *line != header)
+        .skip(1)
+        .take_while(|line| *line != "end");
+    let mut acks = Vec::new();
+    let mut count = None;
+    let mut finalized = Vec::new();
+    for line in lines {
+        if let Some(hex) = line.strip_prefix("conn ") {
+            let bytes = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            acks.push(bytes);
+        } else if let Some(n) = line.strip_prefix("count ") {
+            count = Some(n.parse().unwrap());
+        } else if let Some(text) = line.strip_prefix('|') {
+            finalized.push(text);
+        } else {
+            panic!("golden case {case}: unexpected line {line:?}");
+        }
+    }
+    Transcript {
+        acks,
+        count: count.unwrap_or_else(|| panic!("no golden transcript for case {case}")),
+        finalized: finalized.join("\n"),
+    }
+}
+
+/// Runs the per-connection inputs against `serve` over a real socket,
+/// one connection after another.
+fn socket_transcript(inputs: &[Vec<u8>], max_frame_bytes: u32) -> Transcript {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let connections = inputs.len() as u64;
-    let server = std::thread::spawn({
-        let spec = spec.to_string();
-        move || {
-            let mut session = build_session(&spec).unwrap();
-            let options = ServeOptions {
-                connections,
-                threads_per_conn: true,
-                max_frame_bytes,
-                ..ServeOptions::default()
-            };
-            let policy = SnapshotPolicy {
-                path: None,
-                every: 0,
-                keep: 0,
-            };
-            serve(&listener, session.as_mut(), &policy, &options).unwrap();
-            let finalized = if session.count() > 0 {
-                session.finalize_text().unwrap()
-            } else {
-                String::new() // finalize needs reports; empty window compares empty
-            };
-            (finalized, session.count())
-        }
+    let server = std::thread::spawn(move || {
+        let mut session = build_session(SPEC).unwrap();
+        let options = ServeOptions {
+            connections,
+            max_frame_bytes,
+            ..ServeOptions::default()
+        };
+        serve(
+            &listener,
+            session.as_mut(),
+            &SnapshotPolicy::default(),
+            &options,
+        )
+        .unwrap();
+        session
     });
     let mut all = Vec::new();
     for input in inputs {
@@ -192,19 +261,27 @@ fn blocking_acks(
         let _ = stream.read_to_end(&mut acks);
         all.push(acks);
     }
-    let (finalized, count) = server.join().unwrap();
-    (all, finalized, count)
+    let session = server.join().unwrap();
+    Transcript::of(all, session.as_ref())
 }
 
-/// Assert that the machine (byte-at-a-time AND randomly split) matches
-/// the blocking engine on every connection's ack bytes and on the
-/// finalized window.
-fn assert_equivalent(spec: &str, inputs: &[Vec<u8>], max_frame_bytes: u32, seed: u64) {
-    let (expected_acks, expected_final, expected_count) =
-        blocking_acks(spec, inputs, max_frame_bytes);
-
+/// Assert that the machine (byte-at-a-time AND randomly split) and the
+/// socket `serve` path each reproduce golden transcript `case`, an
+/// exchange of sequential connections against a fresh [`SPEC`] window.
+fn assert_equivalent(case: &str, inputs: &[Vec<u8>], max_frame_bytes: u32, seed: u64) {
+    let expected = golden(case);
+    let check = |label: &str, actual: Transcript| {
+        assert!(
+            actual == expected,
+            "{label}: case {case} diverged from the golden transcript\n\
+             expected:\n{}actual:\n{}",
+            expected.render(case),
+            actual.render(case)
+        );
+    };
     for (label, sizes_for) in [("byte-at-a-time", None), ("random splits", Some(seed))] {
-        let mut session = build_session(spec).unwrap();
+        let mut session = build_session(SPEC).unwrap();
+        let mut acks = Vec::new();
         for (i, input) in inputs.iter().enumerate() {
             let sizes = match sizes_for {
                 None => vec![1; input.len().max(1)],
@@ -214,23 +291,11 @@ fn assert_equivalent(spec: &str, inputs: &[Vec<u8>], max_frame_bytes: u32, seed:
                 max_frame_bytes,
                 ..MachineConfig::default()
             };
-            let acks = machine_acks(session.as_mut(), config, input, &sizes);
-            assert_eq!(
-                acks, expected_acks[i],
-                "{label}: conn {i} ack stream diverged from the blocking reader"
-            );
+            acks.push(machine_acks(session.as_mut(), config, input, &sizes));
         }
-        assert_eq!(session.count(), expected_count, "{label}: count diverged");
-        let finalized = if session.count() > 0 {
-            session.finalize_text().unwrap()
-        } else {
-            String::new()
-        };
-        assert_eq!(
-            finalized, expected_final,
-            "{label}: finalized window diverged from the blocking reader"
-        );
+        check(label, Transcript::of(acks, session.as_ref()));
     }
+    check("serve socket", socket_transcript(inputs, max_frame_bytes));
 }
 
 /// Build one connection's bytes: optional hello, then frames, then EOS.
@@ -259,7 +324,7 @@ fn gen_frames(spec: &str, per_frame: u64, count: usize, seed: u64) -> Vec<String
 fn bare_session_acks_are_split_invariant() {
     let frames = gen_frames(SPEC, 20, 3, 100);
     let input = connection_bytes(None, &frames, true);
-    assert_equivalent(SPEC, &[input], 64 * 1024, 0xB0A7);
+    assert_equivalent("bare_session", &[input], 64 * 1024, 0xB0A7);
 }
 
 #[test]
@@ -277,7 +342,12 @@ fn sequenced_session_with_replay_and_resume_is_split_invariant() {
         second.extend_from_slice(&frame(&protocol::encode_seq_frame(n as u64, f)));
     }
     second.extend_from_slice(&eos());
-    assert_equivalent(SPEC, &[first, second], 64 * 1024, 0x5EED);
+    assert_equivalent(
+        "sequenced_replay_resume",
+        &[first, second],
+        64 * 1024,
+        0x5EED,
+    );
 }
 
 #[test]
@@ -286,7 +356,7 @@ fn a_gap_in_the_sequence_is_refused_identically() {
     let mut input = frame(&protocol::encode_hello("gap", 0));
     input.extend_from_slice(&frame(&protocol::encode_seq_frame(5, &frames[0])));
     input.extend_from_slice(&eos());
-    assert_equivalent(SPEC, &[input], 64 * 1024, 0x6A9);
+    assert_equivalent("sequence_gap", &[input], 64 * 1024, 0x6A9);
 }
 
 #[test]
@@ -297,7 +367,7 @@ fn an_undecodable_frame_is_refused_identically() {
         &[good[0].clone(), "this is not a wire report\n".to_string()],
         true,
     );
-    assert_equivalent(SPEC, &[input], 64 * 1024, 0xBAD);
+    assert_equivalent("undecodable_frame", &[input], 64 * 1024, 0xBAD);
 }
 
 #[test]
@@ -305,21 +375,21 @@ fn an_oversized_frame_is_refused_identically() {
     let frames = gen_frames(SPEC, 40, 1, 500);
     assert!(frames[0].len() > 256, "need a frame above the test cap");
     let input = connection_bytes(None, &frames, true);
-    assert_equivalent(SPEC, &[input], 256, 0xFA7);
+    assert_equivalent("oversized_frame", &[input], 256, 0xFA7);
 }
 
 #[test]
 fn a_window_line_routes_or_refuses_identically() {
     let frames = gen_frames(SPEC, 8, 1, 800);
     // `window default` is accepted everywhere; an unknown window is
-    // refused with `-` on both engines.
+    // refused with `-`.
     let mut accepted = frame(&protocol::encode_hello_routed("wd", 0, Some("default")));
     accepted.extend_from_slice(&frame(&protocol::encode_seq_frame(0, &frames[0])));
     accepted.extend_from_slice(&eos());
     let mut refused = frame(&protocol::encode_hello_routed("wx", 0, Some("nope")));
     refused.extend_from_slice(&frame(&protocol::encode_seq_frame(0, &frames[0])));
     refused.extend_from_slice(&eos());
-    assert_equivalent(SPEC, &[accepted, refused], 64 * 1024, 0x717D0);
+    assert_equivalent("window_line", &[accepted, refused], 64 * 1024, 0x717D0);
 }
 
 #[test]
@@ -370,7 +440,12 @@ fn random_fleets_stay_bit_identical_across_twenty_seeds() {
         } else {
             connection_bytes(None, &frames, with_eos)
         };
-        assert_equivalent(SPEC, &[input], 64 * 1024, seed ^ 0xDEAD_BEEF);
+        assert_equivalent(
+            &format!("random_fleet_{seed:02}"),
+            &[input],
+            64 * 1024,
+            seed ^ 0xDEAD_BEEF,
+        );
     }
 }
 

@@ -5,12 +5,6 @@
 //! reactor threads, under fault injection, ending bit-identical to a
 //! serial ingest — plus the router's per-window snapshots and the
 //! accept-loop's fd-pressure backoff.
-//!
-//! The multi-window test needs the reactor (`--window` routing is
-//! reactor-only) and skips itself when the `LDP_SERVE_ENGINE=threaded`
-//! compat lane pins the legacy engine; everything else asserts
-//! engine-agnostic contracts and runs on whichever engine the lane
-//! picks.
 
 use ldp_collector::server::{
     serve, serve_routed, summary_json, ServeOptions, ServeSummary, SnapshotPolicy, WindowRoute,
@@ -44,10 +38,6 @@ fn reference_finalize(spec: &str, frames: &[Vec<String>]) -> (String, u64) {
         }
     }
     (session.finalize_text().unwrap(), session.count())
-}
-
-fn threaded_lane() -> bool {
-    std::env::var("LDP_SERVE_ENGINE").as_deref() == Ok("threaded")
 }
 
 /// The headline acceptance run: 256 concurrent sequenced sessions on 4
@@ -118,10 +108,6 @@ fn c256_fleet_on_four_reactor_threads_is_bit_identical_under_chaos() {
 /// its own snapshot file, and the summary carries per-window counts.
 #[test]
 fn routed_sessions_land_in_their_named_windows() {
-    if threaded_lane() {
-        eprintln!("skipped: --window routing needs the reactor engine");
-        return;
-    }
     let dir = scratch("windows");
     let spec = "sw-ems:eps=1,d=16";
     let mk_plan = |prefix: &str, window: Option<&str>, seed: u64| Plan {

@@ -1,35 +1,39 @@
-//! A bounded multi-producer, single-consumer channel with **blocking
-//! backpressure**.
+//! A bounded multi-producer, single-consumer channel with
+//! **backpressure**.
 //!
-//! The collector's concurrent serve path needs exactly one queue shape:
-//! many connection threads producing decoded batches, one absorber thread
-//! consuming them, with a hard bound on in-flight work so a fast fleet of
-//! forwarders cannot balloon the collector's memory. [`Sender::push`]
-//! therefore **blocks** when the channel is full — backpressure propagates
-//! to the TCP connection (the forwarder's next frame simply isn't acked
-//! yet) instead of dropping or buffering unboundedly. Nothing is ever
-//! silently discarded: every pushed value is either delivered to the
-//! receiver or handed back in a [`SendError`] when the receiver is gone.
+//! The collector's serve path needs exactly one queue shape: reactor
+//! threads producing decoded batches, one absorber thread consuming them,
+//! with a hard bound on in-flight work so a fast fleet of forwarders
+//! cannot balloon the collector's memory. A producer that meets a full
+//! channel is held back, never dropped: a plain thread's [`Sender::push`]
+//! **blocks**, and an event loop — which must never park on a condvar —
+//! gets a "full" answer from [`Sender::try_reserve`] /
+//! [`Sender::try_push_reserved`], parks the connection and retries when
+//! the consumer signals progress. Either way backpressure propagates to
+//! the TCP connection (the forwarder's next frame simply isn't acked yet)
+//! instead of buffering unboundedly. Nothing is ever silently discarded:
+//! every pushed value is either delivered to the receiver or handed back
+//! when the receiver is gone.
 //!
 //! Disconnection is symmetric and explicit:
 //!
 //! - when every [`Sender`] has been dropped, [`Receiver::pop`] drains the
 //!   remaining values and then returns `None`;
-//! - when the [`Receiver`] is dropped, every blocked and future
-//!   [`Sender::push`] returns [`SendError`] carrying the rejected value.
+//! - when the [`Receiver`] is dropped, every blocked and future push
+//!   hands the rejected value back.
 //!
 //! # Byte-weighted bounds
 //!
 //! A count bound alone cannot cap memory: 32 queued frames may be 32 KiB
 //! or 2 GiB. A channel from [`bounded_weighted`] adds a **byte budget**
-//! shared by queued values *and* outstanding [`Sender::reserve`]
+//! shared by queued values *and* outstanding [`Sender::try_reserve`]
 //! reservations, so a producer can charge a payload's bytes against the
 //! budget **before allocating its buffer** — the budget then covers
 //! in-flight decode buffers, not just what sits in the queue. One
 //! oversized value is still admitted whenever no bytes are outstanding
-//! (backpressure **blocks, never drops**, even when a single item exceeds
-//! the whole budget), and [`Receiver::peak_bytes`] records the high-water
-//! mark for capacity verification.
+//! (a producer is held back, never refused for good, even when a single
+//! item exceeds the whole budget), and [`Receiver::peak_bytes`] records
+//! the high-water mark for capacity verification.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -38,8 +42,7 @@ use std::sync::Arc;
 /// The channel's shared core.
 struct Chan<T> {
     state: Mutex<State<T>>,
-    /// Producers park here while the buffer is full or the byte budget is
-    /// exhausted.
+    /// Blocking producers park here while the buffer is full.
     not_full: Condvar,
     /// The consumer parks here while the buffer is empty.
     not_empty: Condvar,
@@ -97,7 +100,7 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 
 /// Creates a bounded MPSC channel with **two** bounds: at most `capacity`
 /// values and at most `byte_budget` charged bytes (queued weights plus
-/// outstanding [`Sender::reserve`] reservations). `byte_budget = 0` means
+/// outstanding [`Sender::try_reserve`] reservations). `byte_budget = 0` means
 /// unweighted — byte charges are tracked but never block.
 #[must_use]
 pub fn bounded_weighted<T>(capacity: usize, byte_budget: usize) -> (Sender<T>, Receiver<T>) {
@@ -138,23 +141,13 @@ impl<T> Sender<T> {
     /// the backpressure edge. Returns `Err` with the value if the receiver
     /// has been dropped (nothing is ever silently discarded).
     pub fn push(&self, value: T) -> Result<(), SendError<T>> {
-        self.push_weighted(value, 0)
-    }
-
-    /// Delivers `value` charged at `bytes`, blocking while the channel is
-    /// full **or** the byte budget is exhausted. The charge is released
-    /// when the receiver pops the value. A value heavier than the whole
-    /// budget is admitted once nothing else is charged — blocks, never
-    /// drops.
-    pub fn push_weighted(&self, value: T, bytes: usize) -> Result<(), SendError<T>> {
         let mut state = self.chan.state.lock();
         loop {
             if !state.receiver_alive {
                 return Err(SendError(value));
             }
-            if state.buf.len() < state.capacity && state.admits_bytes(bytes) {
-                state.charge(bytes);
-                state.buf.push_back((value, bytes));
+            if state.buf.len() < state.capacity && state.admits_bytes(0) {
+                state.buf.push_back((value, 0));
                 drop(state);
                 self.chan.not_empty.notify_one();
                 return Ok(());
@@ -163,56 +156,13 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Charges `bytes` against the byte budget **without queueing
-    /// anything yet**, blocking while the budget is exhausted. Call this
-    /// *before* allocating a payload buffer so the budget covers in-flight
-    /// decode memory; follow up with [`Sender::push_reserved`] to hand the
-    /// decoded value over (the charge transfers to the queued value) or
-    /// [`Sender::unreserve`] to release the charge on an error path.
-    ///
-    /// Returns `Err` when the receiver is gone (nothing was charged).
-    pub fn reserve(&self, bytes: usize) -> Result<(), SendError<()>> {
-        let mut state = self.chan.state.lock();
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(()));
-            }
-            if state.admits_bytes(bytes) {
-                state.charge(bytes);
-                return Ok(());
-            }
-            self.chan.not_full.wait(&mut state);
-        }
-    }
-
-    /// Releases a charge previously acquired with [`Sender::reserve`]
+    /// Releases a charge previously acquired with [`Sender::try_reserve`]
     /// without delivering a value (the producer's error path).
     pub fn unreserve(&self, bytes: usize) {
         let mut state = self.chan.state.lock();
         state.used_bytes = state.used_bytes.saturating_sub(bytes);
         drop(state);
         self.chan.not_full.notify_all();
-    }
-
-    /// Delivers a value whose `bytes` were already charged via
-    /// [`Sender::reserve`], blocking only on the count bound (the byte
-    /// budget is already owned). On `Err` the reservation is released and
-    /// the value handed back.
-    pub fn push_reserved(&self, value: T, bytes: usize) -> Result<(), SendError<T>> {
-        let mut state = self.chan.state.lock();
-        loop {
-            if !state.receiver_alive {
-                state.used_bytes = state.used_bytes.saturating_sub(bytes);
-                return Err(SendError(value));
-            }
-            if state.buf.len() < state.capacity {
-                state.buf.push_back((value, bytes));
-                drop(state);
-                self.chan.not_empty.notify_one();
-                return Ok(());
-            }
-            self.chan.not_full.wait(&mut state);
-        }
     }
 
     /// Non-blocking variant: delivers `value` only if there is room right
@@ -233,13 +183,19 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Non-blocking variant of [`Sender::reserve`]: charges `bytes` only
-    /// if the budget admits them right now. `Ok(true)` means the charge
-    /// was taken; `Ok(false)` means the budget is currently exhausted
-    /// (nothing charged, try again later); `Err` means the receiver is
-    /// gone (nothing charged). This is the reactor's edge — an event
-    /// loop cannot park on a condvar, so it retries when the consumer
-    /// next signals progress.
+    /// Charges `bytes` against the byte budget **without queueing
+    /// anything yet**, only if the budget admits them right now. Call
+    /// this *before* allocating a payload buffer so the budget covers
+    /// in-flight decode memory; follow up with
+    /// [`Sender::try_push_reserved`] to hand the decoded value over (the
+    /// charge transfers to the queued value) or [`Sender::unreserve`] to
+    /// release the charge on an error path.
+    ///
+    /// `Ok(true)` means the charge was taken; `Ok(false)` means the
+    /// budget is currently exhausted (nothing charged, try again later);
+    /// `Err` means the receiver is gone (nothing charged). This is the
+    /// reactor's edge — an event loop cannot park on a condvar, so it
+    /// retries when the consumer next signals progress.
     pub fn try_reserve(&self, bytes: usize) -> Result<bool, SendError<()>> {
         let mut state = self.chan.state.lock();
         if !state.receiver_alive {
@@ -253,8 +209,8 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Non-blocking variant of [`Sender::push_reserved`]: queues a value
-    /// whose `bytes` were already charged, only if a count slot is free
+    /// Queues a value whose `bytes` were already charged by
+    /// [`Sender::try_reserve`], only if a count slot is free
     /// right now. On a full channel the value comes back with
     /// `full = true` and the reservation is **kept** (the producer still
     /// owns the charge and will retry); on a dropped receiver the value
@@ -325,9 +281,8 @@ impl<T> Receiver<T> {
             if let Some((value, bytes)) = state.buf.pop_front() {
                 state.used_bytes = state.used_bytes.saturating_sub(bytes);
                 drop(state);
-                // Waiters are a mix of count-bound and byte-budget
-                // blockers; wake them all so whichever can now proceed
-                // does (notify_one could wake only one that still can't).
+                // Wake every parked producer; each rechecks its own bound
+                // (notify_one could wake only one that still can't).
                 self.chan.not_full.notify_all();
                 return Some(value);
             }
@@ -422,6 +377,24 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
+
+    /// An event loop's producer edge in miniature: on "budget exhausted"
+    /// it waits for the consumer and retries, so it is held back, never
+    /// refused for good.
+    fn reserve_retrying<T>(tx: &Sender<T>, bytes: usize) {
+        while !tx.try_reserve(bytes).unwrap() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Retries [`Sender::try_push_reserved`] while the channel is full.
+    fn push_reserved_retrying<T>(tx: &Sender<T>, mut value: T, bytes: usize) {
+        while let Err(err) = tx.try_push_reserved(value, bytes) {
+            assert!(err.full, "the receiver is gone");
+            value = err.value;
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn fifo_order_within_one_producer() {
@@ -549,8 +522,10 @@ mod tests {
     fn unweighted_channels_never_block_on_bytes() {
         let (tx, rx) = bounded(4);
         assert_eq!(rx.byte_budget(), usize::MAX);
-        tx.push_weighted(1, usize::MAX / 2).unwrap();
-        tx.push_weighted(2, usize::MAX / 2).unwrap();
+        assert_eq!(tx.try_reserve(usize::MAX / 2), Ok(true));
+        assert_eq!(tx.try_reserve(usize::MAX / 2), Ok(true));
+        tx.try_push_reserved(1, usize::MAX / 2).unwrap();
+        tx.try_push_reserved(2, usize::MAX / 2).unwrap();
         assert_eq!(rx.pop(), Some(1));
         assert_eq!(rx.pop(), Some(2));
         assert_eq!(rx.used_bytes(), 0);
@@ -559,17 +534,20 @@ mod tests {
     #[test]
     fn byte_budget_blocks_and_releases_on_pop() {
         let (tx, rx) = bounded_weighted(8, 100);
-        tx.push_weighted("a", 60).unwrap();
+        assert_eq!(tx.try_reserve(60), Ok(true));
+        tx.try_push_reserved("a", 60).unwrap();
+        assert_eq!(tx.try_reserve(60), Ok(false), "120 > 100 must be refused");
         let second_delivered = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                tx.push_weighted("b", 60).unwrap(); // 120 > 100: must wait
+                reserve_retrying(&tx, 60); // held back until "a" is popped
+                tx.try_push_reserved("b", 60).unwrap();
                 second_delivered.store(true, Ordering::SeqCst);
             });
             std::thread::sleep(Duration::from_millis(80));
             assert!(
                 !second_delivered.load(Ordering::SeqCst),
-                "push_weighted must block while the byte budget is exhausted"
+                "a producer must be held back while the byte budget is exhausted"
             );
             assert_eq!(rx.pop(), Some("a"));
             while !second_delivered.load(Ordering::SeqCst) {
@@ -585,7 +563,8 @@ mod tests {
     fn oversized_item_is_admitted_when_nothing_is_charged() {
         // Blocks-never-drops even when one item exceeds the whole budget.
         let (tx, rx) = bounded_weighted(2, 10);
-        tx.push_weighted(vec![0u8; 50], 50).unwrap();
+        assert_eq!(tx.try_reserve(50), Ok(true));
+        tx.try_push_reserved(vec![0u8; 50], 50).unwrap();
         assert_eq!(rx.pop().unwrap().len(), 50);
         assert_eq!(rx.used_bytes(), 0);
     }
@@ -593,25 +572,16 @@ mod tests {
     #[test]
     fn reserve_charges_before_the_value_exists() {
         let (tx, rx) = bounded_weighted(8, 100);
-        tx.reserve(70).unwrap();
+        assert_eq!(tx.try_reserve(70), Ok(true));
         assert_eq!(rx.used_bytes(), 70);
         // A second reservation must wait for the first to resolve.
-        let reserved = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                tx.reserve(70).unwrap();
-                reserved.store(true, Ordering::SeqCst);
-            });
-            std::thread::sleep(Duration::from_millis(80));
-            assert!(!reserved.load(Ordering::SeqCst), "reserve must block");
-            // Resolving the first reservation as a push keeps its charge…
-            tx.push_reserved("first", 70).unwrap();
-            // …until the consumer pops it, which admits the waiter.
-            assert_eq!(rx.pop(), Some("first"));
-            while !reserved.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
+        assert_eq!(tx.try_reserve(70), Ok(false));
+        // Resolving the first reservation as a push keeps its charge…
+        tx.try_push_reserved("first", 70).unwrap();
+        assert_eq!(tx.try_reserve(70), Ok(false));
+        // …until the consumer pops it, which admits the second.
+        assert_eq!(rx.pop(), Some("first"));
+        assert_eq!(tx.try_reserve(70), Ok(true));
         // Error path: an unreserve releases the charge without a value.
         tx.unreserve(70);
         assert_eq!(rx.used_bytes(), 0);
@@ -621,10 +591,11 @@ mod tests {
 
     #[test]
     fn depth_one_small_budget_soak_blocks_never_drops() {
-        // Six writers through the narrowest possible channel: depth 1 and
-        // a budget smaller than two payloads. Byte accounting must not
-        // break the blocks-never-drops guarantee, and the recorded peak
-        // must respect the budget (no payload here exceeds it alone).
+        // Six retrying writers through the narrowest possible channel:
+        // depth 1 and a budget smaller than two payloads. Byte accounting
+        // must not break the held-back-never-dropped guarantee, and the
+        // recorded peak must respect the budget (no payload here exceeds
+        // it alone).
         const WRITERS: usize = 6;
         const PER_WRITER: usize = 50;
         const PAYLOAD: usize = 64;
@@ -634,8 +605,8 @@ mod tests {
                 let tx = tx.clone();
                 s.spawn(move || {
                     for i in 0..PER_WRITER {
-                        tx.reserve(PAYLOAD).unwrap();
-                        tx.push_reserved((w, i), PAYLOAD).unwrap();
+                        reserve_retrying(&tx, PAYLOAD);
+                        push_reserved_retrying(&tx, (w, i), PAYLOAD);
                     }
                 });
             }
@@ -694,8 +665,8 @@ mod tests {
     #[test]
     fn try_push_reserved_keeps_the_charge_on_full_releases_on_disconnect() {
         let (tx, rx) = bounded_weighted(1, 100);
-        tx.reserve(30).unwrap();
-        tx.reserve(30).unwrap();
+        assert_eq!(tx.try_reserve(30), Ok(true));
+        assert_eq!(tx.try_reserve(30), Ok(true));
         tx.try_push_reserved("a", 30).unwrap();
         // Count bound hit: the value comes back, the charge stays ours.
         let err = tx.try_push_reserved("b", 30).unwrap_err();
@@ -706,7 +677,7 @@ mod tests {
         tx.try_push_reserved("b", 30).unwrap();
         assert_eq!(rx.pop(), Some("b"));
         // Disconnect: the value comes back and the charge is released.
-        tx.reserve(30).unwrap();
+        assert_eq!(tx.try_reserve(30), Ok(true));
         drop(rx);
         let err = tx.try_push_reserved("c", 30).unwrap_err();
         assert!(!err.full);
@@ -715,9 +686,15 @@ mod tests {
     #[test]
     fn dropped_receiver_fails_reserve_and_push_reserved() {
         let (tx, rx) = bounded_weighted(2, 100);
-        tx.reserve(40).unwrap();
+        assert_eq!(tx.try_reserve(40), Ok(true));
         drop(rx);
-        assert_eq!(tx.push_reserved(1, 40), Err(SendError(1)));
-        assert_eq!(tx.reserve(10), Err(SendError(())));
+        assert_eq!(
+            tx.try_push_reserved(1, 40),
+            Err(TrySendError {
+                value: 1,
+                full: false
+            })
+        );
+        assert_eq!(tx.try_reserve(10), Err(SendError(())));
     }
 }

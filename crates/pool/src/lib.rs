@@ -26,8 +26,9 @@
 //! The batch model deliberately excludes threads that live for the
 //! duration of a connection or a serve loop. Those go through
 //! [`service_scope`] (structured, named, panic-contained service threads)
-//! and talk over [`chan::bounded`] channels, whose blocking `push` is the
-//! backpressure edge of the collector's concurrent ingest path.
+//! and talk over [`chan::bounded`] channels, whose byte budget and
+//! non-blocking reserve/push are the backpressure edge of the
+//! collector's concurrent ingest path.
 //!
 //! # Determinism
 //!

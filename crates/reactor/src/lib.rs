@@ -61,7 +61,8 @@
 )))]
 compile_error!(
     "ldp-reactor drives Linux epoll via direct syscalls and supports \
-     x86_64/aarch64 only; use `serve --threads-per-conn` elsewhere"
+     x86_64/aarch64 only, so `ldp-collector` (whose only serve engine it \
+     is) builds on Linux x86_64/aarch64 only"
 );
 
 mod epoll;
@@ -224,6 +225,9 @@ mod tests {
         let poller = Poller::new().unwrap();
         let waker = poller.waker();
         let handle = std::thread::spawn(move || {
+            // Give the main thread time to block in `epoll_wait`, so the
+            // first wake ends a blocked wait rather than a pending one.
+            std::thread::sleep(Duration::from_millis(20));
             for _ in 0..100 {
                 waker.wake();
             }
@@ -234,7 +238,10 @@ mod tests {
             .unwrap();
         assert!(woken);
         assert_eq!(ready_events(&events).count(), 0, "wake token is filtered");
+        // Wakes posted after that drain re-arm the eventfd; absorb them
+        // once every wake has landed.
         handle.join().unwrap();
+        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
         // Drained: the next wait times out instead of spinning.
         let started = Instant::now();
         let woken = poller
