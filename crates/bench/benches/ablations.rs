@@ -5,10 +5,11 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_dataset, BENCH_N};
 use ldp_cfo::postprocess::{norm_mul, norm_sub};
+use ldp_core::{Aggregator, Client, Mechanism};
 use ldp_datasets::DatasetKind;
 use ldp_hierarchy::{hh_admm, AdmmConfig, HierarchicalHistogram};
 use ldp_numeric::SplitMix64;
-use ldp_sw::{reconstruct, DiscreteSw, EmConfig, Reconstruction, SmoothingKernel, SwPipeline};
+use ldp_sw::{reconstruct, DiscreteSw, EmConfig, SmoothingKernel, SwMechanism};
 use std::time::Duration;
 
 const D: usize = 256;
@@ -21,15 +22,15 @@ fn bench_smoothing_kernels(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
 
     let ds = bench_dataset(DatasetKind::Beta, BENCH_N);
-    let pipeline = SwPipeline::new(1.0, D).unwrap();
+    let mech = SwMechanism::ems(1.0, D).unwrap();
     let mut rng = SplitMix64::new(600);
-    let reports: Vec<f64> = ds
-        .values
-        .iter()
-        .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
-        .collect();
-    let counts = pipeline.aggregate(&reports);
-    let m = pipeline.transition();
+    let reports = Client::new(&mech)
+        .randomize_batch(&ds.values, &mut rng)
+        .unwrap();
+    let mut agg = Aggregator::new(&mech);
+    agg.push_slice(&reports).unwrap();
+    let counts = agg.state().to_counts();
+    let m = mech.pipeline().transition();
 
     let configs = [
         ("none_em", EmConfig::em(1.0)),
@@ -78,14 +79,14 @@ fn bench_rb_vs_br(c: &mut Criterion) {
     let ds = bench_dataset(DatasetKind::Beta, BENCH_N);
 
     group.bench_function("randomize_before_bucketize", |b| {
-        let pipeline = SwPipeline::new(1.0, D).unwrap();
+        let mech = SwMechanism::ems(1.0, D).unwrap();
+        let client = Client::new(&mech);
         let mut seed = 700u64;
         b.iter(|| {
             seed += 1;
             let mut rng = SplitMix64::new(seed);
-            pipeline
-                .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-                .unwrap()
+            let reports = client.randomize_batch(&ds.values, &mut rng).unwrap();
+            mech.aggregate(&reports).unwrap()
         })
     });
 
@@ -118,7 +119,10 @@ fn bench_admm_iterations(c: &mut Criterion) {
     let buckets = ds.bucket_values(D);
     let hh = HierarchicalHistogram::new(4, D, 1.0).unwrap();
     let mut rng = SplitMix64::new(900);
-    let raw = hh.collect(&buckets, &mut rng).unwrap();
+    let reports = Client::new(&hh)
+        .randomize_batch(&buckets, &mut rng)
+        .unwrap();
+    let raw = hh.aggregate(&reports).unwrap();
     for iters in [50usize, 300] {
         group.bench_function(format!("admm_{iters}_iters"), |b| {
             let config = AdmmConfig {

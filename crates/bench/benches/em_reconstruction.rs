@@ -5,8 +5,8 @@
 //! - `em_fixed/{dense,structured}_d{D}_iters{K}`: EM over exactly `K`
 //!   iterations at `d = d̃ = D`, dense matrix vs `BandedBaselineOperator`.
 //!   Per-iteration cost = reported ns / `K`.
-//! - `client_batch/randomize_n{N}_w{W}`: perturbing `N` reports across `W`
-//!   shards on the shared `ldp-pool` worker pool; reports/sec =
+//! - `client_batch/randomize_n{N}_w1`: perturbing `N` reports on one RNG
+//!   stream through `Client::randomize_batch`; reports/sec =
 //!   `N / (ns · 1e-9)`.
 //! - `grid/sw_ems_jobs{J}_d{D}`: a figure-6-style `run_grid` slice of `J`
 //!   (ε × trial) jobs through `parallel_jobs`; per-trial cost = ns / `J`.
@@ -36,10 +36,11 @@ use ldp_core::{Aggregator, Client, Mechanism};
 use ldp_experiments::{run_grid, ExperimentConfig, Method};
 use ldp_hierarchy::{HaarHrr, HierarchicalHistogram};
 use ldp_mean::{Hybrid, Pm};
-use ldp_numeric::Histogram;
+use ldp_numeric::rng::mix64;
+use ldp_numeric::{Histogram, SplitMix64};
 use ldp_sw::{
     bootstrap, optimal_b, reconstruct, transition_matrix, BandedBaselineOperator, BootstrapConfig,
-    EmConfig, Reconstruction, ShardAggregator, SwMechanism, SwPipeline, Wave,
+    EmConfig, Reconstruction, ShardAggregator, SwMechanism, Wave,
 };
 use std::time::Duration;
 
@@ -121,19 +122,16 @@ fn bench_batch(c: &mut Criterion) {
             .measurement_time(Duration::from_secs(2));
     }
     let n: usize = if smoke() { 20_000 } else { 400_000 };
-    let pipeline = SwPipeline::new(1.0, 256).unwrap();
+    let mech = SwMechanism::ems(1.0, 256).unwrap();
+    let client = Client::new(&mech);
     let values: Vec<f64> = (0..n).map(|i| (i % 9973) as f64 / 9973.0).collect();
-    for workers in [1usize, 2, 4] {
-        group.bench_function(format!("randomize_n{n}_w{workers}"), |b| {
-            b.iter(|| {
-                pipeline
-                    .randomize_batch(black_box(&values), workers, 7)
-                    .unwrap()
-            })
-        });
-    }
-    group.bench_function(format!("aggregate_n{n}_w4"), |b| {
-        b.iter(|| pipeline.aggregate_batch(black_box(&values), 4, 7).unwrap())
+    group.bench_function(format!("randomize_n{n}_w1"), |b| {
+        b.iter(|| {
+            let mut rng = SplitMix64::new(7);
+            client
+                .randomize_batch(black_box(&values), &mut rng)
+                .unwrap()
+        })
     });
     group.finish();
 }
@@ -187,17 +185,32 @@ fn bench_bootstrap(c: &mut Criterion) {
     }
     let d = 64;
     let replicates = if smoke() { 10 } else { 30 };
-    let pipeline = SwPipeline::new(1.0, d).unwrap();
+    let mech = SwMechanism::ems(1.0, d).unwrap();
+    let client = Client::new(&mech);
     let values: Vec<f64> = (0..60_000).map(|i| (i % 4093) as f64 / 4093.0).collect();
-    let counts = pipeline.aggregate_batch(&values, 4, 7).unwrap().to_counts();
+    // Four chunks, each perturbed on its own seeded stream: the report
+    // histogram every BENCH_em.json snapshot was recorded with.
+    let mut agg = Aggregator::new(&mech);
+    for (shard, chunk) in values.chunks(values.len() / 4).enumerate() {
+        let mut rng = SplitMix64::new(mix64(7 ^ mix64(shard as u64 + 1)));
+        let reports = client.randomize_batch(chunk, &mut rng).unwrap();
+        agg.push_slice(&reports).unwrap();
+    }
+    let counts = agg.state().to_counts();
     let config = BootstrapConfig {
         replicates,
         ..BootstrapConfig::default()
     };
     group.bench_function(format!("replicates{replicates}_d{d}"), |b| {
         b.iter(|| {
-            let mut rng = ldp_numeric::SplitMix64::new(11);
-            bootstrap(pipeline.operator(), black_box(&counts), &config, &mut rng).unwrap()
+            let mut rng = SplitMix64::new(11);
+            bootstrap(
+                mech.pipeline().operator(),
+                black_box(&counts),
+                &config,
+                &mut rng,
+            )
+            .unwrap()
         })
     });
     group.finish();

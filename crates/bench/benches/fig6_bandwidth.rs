@@ -3,10 +3,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_dataset, bench_truth, BENCH_D, BENCH_N};
+use ldp_core::{Client, Mechanism};
 use ldp_datasets::DatasetKind;
 use ldp_metrics::wasserstein;
 use ldp_numeric::SplitMix64;
-use ldp_sw::{optimal_b, Reconstruction, SwPipeline, Wave};
+use ldp_sw::{optimal_b, Reconstruction, SwMechanism, SwPipeline, Wave};
 use std::time::Duration;
 
 fn bench_fig6(c: &mut Criterion) {
@@ -26,13 +27,14 @@ fn bench_fig6(c: &mut Criterion) {
         group.bench_function(format!("ems_trial_b{b_val}"), |bch| {
             let wave = Wave::square(b_val, 1.0).unwrap();
             let pipeline = SwPipeline::with_wave(wave, BENCH_D, BENCH_D).unwrap();
+            let mech = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
+            let client = Client::new(&mech);
             let mut seed = 400u64;
             bch.iter(|| {
                 seed += 1;
                 let mut rng = SplitMix64::new(seed);
-                let est = pipeline
-                    .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-                    .unwrap();
+                let reports = client.randomize_batch(&ds.values, &mut rng).unwrap();
+                let est = mech.aggregate(&reports).unwrap();
                 wasserstein(&truth, &est).unwrap()
             })
         });

@@ -4,10 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_dataset, BENCH_N};
+use ldp_core::{Client, Mechanism};
 use ldp_datasets::DatasetKind;
 use ldp_metrics::wasserstein;
 use ldp_numeric::SplitMix64;
-use ldp_sw::{Reconstruction, SwPipeline};
+use ldp_sw::SwMechanism;
 use std::time::Duration;
 
 fn bench_fig7(c: &mut Criterion) {
@@ -20,14 +21,14 @@ fn bench_fig7(c: &mut Criterion) {
     for d in [256usize, 512, 1024] {
         let truth = ds.histogram(d).unwrap();
         group.bench_function(format!("sw_ems_d{d}"), |b| {
-            let pipeline = SwPipeline::new(1.0, d).unwrap();
+            let mech = SwMechanism::ems(1.0, d).unwrap();
+            let client = Client::new(&mech);
             let mut seed = 500u64;
             b.iter(|| {
                 seed += 1;
                 let mut rng = SplitMix64::new(seed);
-                let est = pipeline
-                    .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-                    .unwrap();
+                let reports = client.randomize_batch(&ds.values, &mut rng).unwrap();
+                let est = mech.aggregate(&reports).unwrap();
                 wasserstein(&truth, &est).unwrap()
             })
         });

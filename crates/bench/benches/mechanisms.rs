@@ -2,10 +2,11 @@
 //! perturb reports. These are the per-user costs a deployment pays.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use ldp_cfo::{FrequencyOracle, Grr, Hrr, Olh, Oue};
+use ldp_cfo::{Grr, Hrr, Olh, Oue};
+use ldp_core::{Aggregator, Client, Mechanism};
 use ldp_mean::{Pm, Sr};
 use ldp_numeric::SplitMix64;
-use ldp_sw::{DiscreteSw, SwPipeline};
+use ldp_sw::{DiscreteSw, SwMechanism};
 use std::time::Duration;
 
 fn bench_randomizers(c: &mut Criterion) {
@@ -16,10 +17,11 @@ fn bench_randomizers(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     let eps = 1.0;
-    let sw = SwPipeline::new(eps, 256).unwrap();
+    let sw = SwMechanism::ems(eps, 256).unwrap();
+    let sw_client = Client::new(&sw);
     group.bench_function("sw_continuous", |b| {
         let mut rng = SplitMix64::new(1);
-        b.iter(|| sw.randomize(black_box(0.37), &mut rng).unwrap())
+        b.iter(|| sw_client.randomize(black_box(&0.37), &mut rng).unwrap())
     });
 
     let dsw = DiscreteSw::new(256, eps).unwrap();
@@ -86,7 +88,7 @@ fn bench_aggregation(c: &mut Criterion) {
     group.bench_function("olh_support_counting_n20k_d64", |b| {
         b.iter_batched(
             || olh_reports.clone(),
-            |r| olh.aggregate(&r),
+            |r| Mechanism::aggregate(&olh, &r).unwrap(),
             BatchSize::LargeInput,
         )
     });
@@ -98,17 +100,22 @@ fn bench_aggregation(c: &mut Criterion) {
     group.bench_function("hrr_fwht_n20k_d64", |b| {
         b.iter_batched(
             || hrr_reports.clone(),
-            |r| hrr.aggregate(&r),
+            |r| Mechanism::aggregate(&hrr, &r).unwrap(),
             BatchSize::LargeInput,
         )
     });
 
-    let sw = SwPipeline::new(eps, 256).unwrap();
-    let sw_reports: Vec<f64> = (0..n)
-        .map(|i| sw.randomize((i % 1000) as f64 / 1000.0, &mut rng).unwrap())
-        .collect();
+    let sw = SwMechanism::ems(eps, 256).unwrap();
+    let sw_values: Vec<f64> = (0..n).map(|i| (i % 1000) as f64 / 1000.0).collect();
+    let sw_reports = Client::new(&sw)
+        .randomize_batch(&sw_values, &mut rng)
+        .unwrap();
     group.bench_function("sw_bucketize_n20k_d256", |b| {
-        b.iter(|| sw.aggregate(black_box(&sw_reports)))
+        b.iter(|| {
+            let mut agg = Aggregator::new(&sw);
+            agg.push_slice(black_box(&sw_reports)).unwrap();
+            agg.count()
+        })
     });
 
     group.finish();

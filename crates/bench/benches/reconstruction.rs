@@ -3,10 +3,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_dataset, BENCH_D, BENCH_N};
+use ldp_core::{Aggregator, Client, Mechanism};
 use ldp_datasets::DatasetKind;
 use ldp_hierarchy::{hh_admm, AdmmConfig, HierarchicalHistogram};
 use ldp_numeric::SplitMix64;
-use ldp_sw::{optimal_b, reconstruct, transition_matrix, EmConfig, Wave};
+use ldp_sw::{
+    optimal_b, reconstruct, transition_matrix, EmConfig, Reconstruction, SwMechanism, SwPipeline,
+    Wave,
+};
 use std::time::Duration;
 
 fn bench_transition(c: &mut Criterion) {
@@ -39,14 +43,15 @@ fn bench_em_ems(c: &mut Criterion) {
     let wave = Wave::square(optimal_b(eps).unwrap(), eps).unwrap();
     let m = transition_matrix(&wave, BENCH_D, BENCH_D).unwrap();
     let ds = bench_dataset(DatasetKind::Beta, BENCH_N);
-    let pipeline = ldp_sw::SwPipeline::with_wave(wave, BENCH_D, BENCH_D).unwrap();
+    let pipeline = SwPipeline::with_wave(wave, BENCH_D, BENCH_D).unwrap();
+    let mech = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
     let mut rng = SplitMix64::new(10);
-    let reports: Vec<f64> = ds
-        .values
-        .iter()
-        .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
-        .collect();
-    let counts = pipeline.aggregate(&reports);
+    let reports = Client::new(&mech)
+        .randomize_batch(&ds.values, &mut rng)
+        .unwrap();
+    let mut agg = Aggregator::new(&mech);
+    agg.push_slice(&reports).unwrap();
+    let counts = agg.state().to_counts();
 
     group.bench_function("em_d256", |b| {
         b.iter(|| reconstruct(black_box(&m), black_box(&counts), &EmConfig::em(eps)).unwrap())
@@ -68,7 +73,10 @@ fn bench_hierarchy_postprocessing(c: &mut Criterion) {
     let buckets = ds.bucket_values(BENCH_D);
     let hh = HierarchicalHistogram::new(4, BENCH_D, 1.0).unwrap();
     let mut rng = SplitMix64::new(11);
-    let raw = hh.collect(&buckets, &mut rng).unwrap();
+    let reports = Client::new(&hh)
+        .randomize_batch(&buckets, &mut rng)
+        .unwrap();
+    let raw = hh.aggregate(&reports).unwrap();
 
     group.bench_function("constrained_inference_d256", |b| {
         b.iter(|| hh.make_consistent(black_box(&raw)).unwrap())

@@ -40,6 +40,14 @@ impl fmt::Display for CfoError {
 
 impl std::error::Error for CfoError {}
 
+/// Checks a value against an oracle's domain `{0, …, domain-1}`.
+pub(crate) fn check_value(value: usize, domain: usize) -> Result<(), CfoError> {
+    if value >= domain {
+        return Err(CfoError::ValueOutOfDomain { value, domain });
+    }
+    Ok(())
+}
+
 /// Parameter validation is centralized in `ldp-core` ([`ldp_core::Epsilon`]
 /// and [`ldp_core::Domain`]); this impl folds its errors back into the
 /// crate's established variants.
@@ -76,6 +84,13 @@ mod tests {
             CfoError::from(CoreError::Wire("x".into())),
             CfoError::InvalidParameter(_)
         ));
+    }
+
+    #[test]
+    fn check_value_bounds() {
+        assert!(check_value(0, 4).is_ok());
+        assert!(check_value(3, 4).is_ok());
+        assert!(check_value(4, 4).is_err());
     }
 
     #[test]

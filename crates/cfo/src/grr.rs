@@ -7,8 +7,7 @@
 //! `(d - 2 + eᵉ) / ((eᵉ - 1)² n)` (paper §2.1, eq. 1) — linear in `d`,
 //! which is why GRR only wins on small domains.
 
-use crate::error::CfoError;
-use crate::oracle::{check_value, FrequencyOracle};
+use crate::error::{check_value, CfoError};
 use ldp_core::{Domain, Epsilon};
 use rand::Rng;
 
@@ -51,10 +50,7 @@ impl Grr {
         (d as f64 - 2.0 + e) / ((e - 1.0) * (e - 1.0) * n as f64)
     }
 
-    /// Debiases raw per-value report counts into frequency estimates — the
-    /// single estimator shared by one-shot aggregation and the streaming
-    /// [`ldp_core::Aggregator`] state, which is what makes the two paths
-    /// bit-identical.
+    /// Debiases raw per-value report counts into frequency estimates.
     pub(crate) fn estimate_from_counts(&self, counts: &[u64], n: u64) -> Vec<f64> {
         if n == 0 {
             return vec![0.0; self.d];
@@ -65,20 +61,21 @@ impl Grr {
             .map(|&c| (c as f64 / nf - self.q) / (self.p - self.q))
             .collect()
     }
-}
 
-impl FrequencyOracle for Grr {
-    type Report = usize;
-
-    fn domain_size(&self) -> usize {
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
         self.d
     }
 
-    fn epsilon(&self) -> f64 {
+    /// The privacy budget ε the randomizer satisfies.
+    #[must_use]
+    pub fn epsilon(&self) -> f64 {
         self.eps
     }
 
-    fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<usize, CfoError> {
+    /// Client side: randomizes one private value in `{0, …, d-1}`.
+    pub fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<usize, CfoError> {
         check_value(value, self.d)?;
         if rng.gen::<f64>() < self.p {
             Ok(value)
@@ -93,17 +90,9 @@ impl FrequencyOracle for Grr {
         }
     }
 
-    fn aggregate(&self, reports: &[usize]) -> Vec<f64> {
-        let mut counts = vec![0u64; self.d];
-        for &r in reports {
-            if r < self.d {
-                counts[r] += 1;
-            }
-        }
-        self.estimate_from_counts(&counts, reports.len() as u64)
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
+    /// Approximate variance of one frequency estimate given `n` reports.
+    #[must_use]
+    pub fn estimate_variance(&self, n: usize) -> f64 {
         Self::theoretical_variance(self.d, self.eps, n.max(1))
     }
 }
@@ -111,6 +100,7 @@ impl FrequencyOracle for Grr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -156,7 +146,7 @@ mod tests {
         // 60% value 0, 40% value 5.
         let n = 200_000;
         let values: Vec<usize> = (0..n).map(|i| if i % 5 < 3 { 0 } else { 5 }).collect();
-        let est = g.run(&values, &mut rng).unwrap();
+        let est = crate::run(&g, &values, &mut rng);
         assert!((est[0] - 0.6).abs() < 0.02, "est[0]={}", est[0]);
         assert!((est[5] - 0.4).abs() < 0.02, "est[5]={}", est[5]);
         for (v, &e) in est.iter().enumerate() {
@@ -180,7 +170,7 @@ mod tests {
         let mut errs = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = SplitMix64::new(1000 + t as u64);
-            let est = g.run(&values, &mut rng).unwrap();
+            let est = crate::run(&g, &values, &mut rng);
             errs.push(est[0]); // true frequency of value 0 is 0.
         }
         let emp_var = ldp_numeric::stats::variance(&errs);
@@ -195,7 +185,7 @@ mod tests {
     #[test]
     fn aggregate_empty_reports_gives_zeros() {
         let g = Grr::new(4, 1.0).unwrap();
-        assert_eq!(g.aggregate(&[]), vec![0.0; 4]);
+        assert_eq!(Mechanism::aggregate(&g, &[]).unwrap(), vec![0.0; 4]);
     }
 
     #[test]
@@ -203,7 +193,7 @@ mod tests {
         let g = Grr::new(4, 20.0).unwrap();
         let mut rng = SplitMix64::new(9);
         let values = vec![2usize; 1000];
-        let est = g.run(&values, &mut rng).unwrap();
+        let est = crate::run(&g, &values, &mut rng);
         assert!((est[2] - 1.0).abs() < 1e-3);
     }
 }

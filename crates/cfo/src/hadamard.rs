@@ -10,8 +10,7 @@
 //! oracle Kulkarni et al. (PVLDB '19) use inside HaarHRR; the paper calls it
 //! "Hadamard random response" (§4.2).
 
-use crate::error::CfoError;
-use crate::oracle::{check_value, FrequencyOracle};
+use crate::error::{check_value, CfoError};
 use ldp_core::{Domain, Epsilon};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -107,11 +106,8 @@ impl Hrr {
         (e + 1.0) * (e + 1.0) / ((e - 1.0) * (e - 1.0) * n as f64)
     }
 
-    /// Inverts integer per-row bit sums into frequency estimates; shared by
-    /// one-shot aggregation and the streaming state. Summing the ±1 bits in
-    /// `i64` is exact (so shard merges are exact), and converting each row
-    /// total to `f64` reproduces the sequential float accumulation bit for
-    /// bit because every intermediate is an integer below 2⁵³.
+    /// Inverts integer per-row bit sums into frequency estimates. Summing
+    /// the ±1 bits in `i64` is exact, so shard merges are exact.
     pub(crate) fn estimate_from_spectrum(&self, spectrum: &[i64], n: u64) -> Vec<f64> {
         if n == 0 {
             return vec![0.0; self.d];
@@ -131,20 +127,25 @@ impl Hrr {
         }
         spec
     }
-}
 
-impl FrequencyOracle for Hrr {
-    type Report = HrrReport;
-
-    fn domain_size(&self) -> usize {
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
         self.d
     }
 
-    fn epsilon(&self) -> f64 {
+    /// The privacy budget ε the randomizer satisfies.
+    #[must_use]
+    pub fn epsilon(&self) -> f64 {
         self.eps
     }
 
-    fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<HrrReport, CfoError> {
+    /// Client side: randomizes one private value in `{0, …, d-1}`.
+    pub fn randomize<R: Rng + ?Sized>(
+        &self,
+        value: usize,
+        rng: &mut R,
+    ) -> Result<HrrReport, CfoError> {
         check_value(value, self.d)?;
         let row = rng.gen_range(0..self.padded as u32);
         let true_bit = hadamard_entry(row as usize, value);
@@ -157,20 +158,6 @@ impl FrequencyOracle for Hrr {
             row,
             bit: bit as i8,
         })
-    }
-
-    fn aggregate(&self, reports: &[HrrReport]) -> Vec<f64> {
-        // Per-row sums of the ±1 bits estimate the Walsh-Hadamard spectrum
-        // of the frequency vector.
-        let mut spectrum = vec![0i64; self.padded];
-        for r in reports {
-            spectrum[r.row as usize] += i64::from(r.bit);
-        }
-        self.estimate_from_spectrum(&spectrum, reports.len() as u64)
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
-        Self::theoretical_variance(self.eps, n.max(1))
     }
 }
 
@@ -251,7 +238,7 @@ mod tests {
         let mut rng = SplitMix64::new(21);
         let n = 150_000;
         let values: Vec<usize> = (0..n).map(|i| if i % 4 == 0 { 2 } else { 9 }).collect();
-        let est = h.run(&values, &mut rng).unwrap();
+        let est = crate::run(&h, &values, &mut rng);
         assert!((est[2] - 0.25).abs() < 0.03, "est[2]={}", est[2]);
         assert!((est[9] - 0.75).abs() < 0.03, "est[9]={}", est[9]);
         for (v, &e) in est.iter().enumerate() {
@@ -272,7 +259,7 @@ mod tests {
         let mut errs = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = SplitMix64::new(3000 + t as u64);
-            let est = h.run(&values, &mut rng).unwrap();
+            let est = crate::run(&h, &values, &mut rng);
             errs.push(est[0]);
         }
         let emp_var = ldp_numeric::stats::variance(&errs);

@@ -16,10 +16,10 @@
 //! [`postprocess`] (Norm-Sub and friends, §4.1), and [`binning`] (the
 //! complete "CFO with binning" distribution estimator of §4.1).
 //!
-//! Every oracle also implements the workspace-wide
-//! [`ldp_core::Mechanism`] trait (see [`mechanism`]): streaming O(d)
+//! Each oracle has one client path and one server path: the workspace-wide
+//! [`ldp_core::Mechanism`] trait (see [`mechanism`]), with streaming O(d)
 //! aggregation state, exact shard merges, and wire-format reports through
-//! the unified `Client`/`Aggregator` split.
+//! the `Client`/`Aggregator` split.
 
 #![forbid(unsafe_code)]
 // `!(x > 0.0)` is used deliberately throughout: unlike `x <= 0.0` it is
@@ -33,7 +33,6 @@ pub mod grr;
 pub mod hadamard;
 pub mod mechanism;
 pub mod olh;
-pub mod oracle;
 pub mod oue;
 pub mod postprocess;
 pub mod select;
@@ -44,6 +43,18 @@ pub use grr::Grr;
 pub use hadamard::Hrr;
 pub use mechanism::{AdaptiveState, CountState, SpectrumState, SupportState};
 pub use olh::Olh;
-pub use oracle::FrequencyOracle;
 pub use oue::Oue;
 pub use select::{choose_oracle, AdaptiveOracle, OracleKind};
+
+/// Test helper: randomizes `values` on one RNG stream, then aggregates.
+#[cfg(test)]
+fn run<M>(m: &M, values: &[M::Input], rng: &mut ldp_numeric::SplitMix64) -> M::Output
+where
+    M: ldp_core::Mechanism,
+    M::Input: Sized,
+{
+    let reports = ldp_core::Client::new(m)
+        .randomize_batch(values, rng)
+        .unwrap();
+    m.aggregate(&reports).unwrap()
+}

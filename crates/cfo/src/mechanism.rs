@@ -1,19 +1,15 @@
 //! [`Mechanism`] implementations for every frequency oracle.
 //!
-//! This adapts the crate-local [`FrequencyOracle`] protocols onto the
-//! workspace-wide `ldp-core` surface: each oracle gains a bounded streaming
-//! state (per-value counts, OLH support counts, or an integer Hadamard
-//! spectrum) so collectors ingest reports one at a time in O(d) memory and
-//! merge shards exactly. One-shot aggregation and streaming ingestion share
-//! the same debiasing helpers, which makes their estimates bit-identical by
-//! construction.
+//! Each oracle's randomizer is an inherent method on its type; this module
+//! adds the server side: a bounded streaming state (per-value counts, OLH
+//! support counts, or an integer Hadamard spectrum), so collectors ingest
+//! reports one at a time in O(d) memory and merge shards exactly.
 
 use crate::binning::BinningEstimator;
 use crate::error::CfoError;
 use crate::grr::Grr;
 use crate::hadamard::{Hrr, HrrReport};
 use crate::olh::{Olh, OlhReport};
-use crate::oracle::FrequencyOracle;
 use crate::oue::{Oue, OueReport};
 use crate::postprocess::norm_sub;
 use crate::select::{AdaptiveOracle, AdaptiveReport};
@@ -139,21 +135,18 @@ impl Mechanism for Grr {
     type Output = Vec<f64>;
 
     fn epsilon(&self) -> Epsilon {
-        Epsilon::new(FrequencyOracle::epsilon(self)).expect("validated at construction")
+        Epsilon::new(Grr::epsilon(self)).expect("validated at construction")
     }
 
     fn fingerprint(&self) -> u64 {
         fingerprint_fields(
             tag::GRR,
-            &[
-                self.domain_size() as u64,
-                FrequencyOracle::epsilon(self).to_bits(),
-            ],
+            &[self.domain_size() as u64, Grr::epsilon(self).to_bits()],
         )
     }
 
     fn randomize<R: Rng + ?Sized>(&self, input: &usize, rng: &mut R) -> Result<usize, CoreError> {
-        FrequencyOracle::randomize(self, *input, rng).map_err(input_err)
+        Grr::randomize(self, *input, rng).map_err(input_err)
     }
 
     fn empty_state(&self) -> CountState {
@@ -194,7 +187,7 @@ impl Mechanism for Olh {
     type Output = Vec<f64>;
 
     fn epsilon(&self) -> Epsilon {
-        Epsilon::new(FrequencyOracle::epsilon(self)).expect("validated at construction")
+        Epsilon::new(Olh::epsilon(self)).expect("validated at construction")
     }
 
     fn fingerprint(&self) -> u64 {
@@ -202,7 +195,7 @@ impl Mechanism for Olh {
             tag::OLH,
             &[
                 self.domain_size() as u64,
-                FrequencyOracle::epsilon(self).to_bits(),
+                Olh::epsilon(self).to_bits(),
                 self.hash_range() as u64,
             ],
         )
@@ -213,7 +206,7 @@ impl Mechanism for Olh {
         input: &usize,
         rng: &mut R,
     ) -> Result<OlhReport, CoreError> {
-        FrequencyOracle::randomize(self, *input, rng).map_err(input_err)
+        Olh::randomize(self, *input, rng).map_err(input_err)
     }
 
     fn empty_state(&self) -> SupportState {
@@ -280,16 +273,13 @@ impl Mechanism for Oue {
     type Output = Vec<f64>;
 
     fn epsilon(&self) -> Epsilon {
-        Epsilon::new(FrequencyOracle::epsilon(self)).expect("validated at construction")
+        Epsilon::new(Oue::epsilon(self)).expect("validated at construction")
     }
 
     fn fingerprint(&self) -> u64 {
         fingerprint_fields(
             tag::OUE,
-            &[
-                self.domain_size() as u64,
-                FrequencyOracle::epsilon(self).to_bits(),
-            ],
+            &[self.domain_size() as u64, Oue::epsilon(self).to_bits()],
         )
     }
 
@@ -298,7 +288,7 @@ impl Mechanism for Oue {
         input: &usize,
         rng: &mut R,
     ) -> Result<OueReport, CoreError> {
-        FrequencyOracle::randomize(self, *input, rng).map_err(input_err)
+        Oue::randomize(self, *input, rng).map_err(input_err)
     }
 
     fn empty_state(&self) -> CountState {
@@ -353,16 +343,13 @@ impl Mechanism for Hrr {
     type Output = Vec<f64>;
 
     fn epsilon(&self) -> Epsilon {
-        Epsilon::new(FrequencyOracle::epsilon(self)).expect("validated at construction")
+        Epsilon::new(Hrr::epsilon(self)).expect("validated at construction")
     }
 
     fn fingerprint(&self) -> u64 {
         fingerprint_fields(
             tag::HRR,
-            &[
-                self.domain_size() as u64,
-                FrequencyOracle::epsilon(self).to_bits(),
-            ],
+            &[self.domain_size() as u64, Hrr::epsilon(self).to_bits()],
         )
     }
 
@@ -371,7 +358,7 @@ impl Mechanism for Hrr {
         input: &usize,
         rng: &mut R,
     ) -> Result<HrrReport, CoreError> {
-        FrequencyOracle::randomize(self, *input, rng).map_err(input_err)
+        Hrr::randomize(self, *input, rng).map_err(input_err)
     }
 
     fn empty_state(&self) -> SpectrumState {
@@ -822,67 +809,8 @@ impl WireReport for AdaptiveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_core::{encode_lines, Aggregator, Client};
+    use ldp_core::{encode_lines, Client};
     use ldp_numeric::SplitMix64;
-
-    /// Streaming ingestion must reproduce the legacy
-    /// `FrequencyOracle::run` estimate bit for bit when fed the same RNG
-    /// stream.
-    #[test]
-    fn streaming_matches_legacy_oracle_run() {
-        let values: Vec<usize> = (0..4_000).map(|i| (i * 7) % 12).collect();
-        let d = 12;
-        let eps = 1.0;
-
-        macro_rules! check {
-            ($oracle:expr) => {{
-                let oracle = $oracle;
-                let legacy = {
-                    let mut rng = SplitMix64::new(404);
-                    oracle.run(&values, &mut rng).unwrap()
-                };
-                let streamed = {
-                    let mut rng = SplitMix64::new(404);
-                    let client = Client::new(&oracle);
-                    let mut agg = Aggregator::new(&oracle);
-                    for v in &values {
-                        agg.push(&client.randomize(v, &mut rng).unwrap()).unwrap();
-                    }
-                    agg.finalize().unwrap()
-                };
-                assert_eq!(legacy.len(), streamed.len());
-                for (a, b) in legacy.iter().zip(&streamed) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }};
-        }
-
-        check!(Grr::new(d, eps).unwrap());
-        check!(Olh::new(d, eps).unwrap());
-        check!(Oue::new(d, eps).unwrap());
-        check!(Hrr::new(d, eps).unwrap());
-        check!(AdaptiveOracle::new(d, eps).unwrap());
-    }
-
-    #[test]
-    fn binning_streaming_matches_legacy_estimate() {
-        let est = BinningEstimator::new(16, 64, 1.0).unwrap();
-        let values: Vec<f64> = (0..5_000).map(|i| (i % 97) as f64 / 97.0).collect();
-        let legacy = {
-            let mut rng = SplitMix64::new(77);
-            est.estimate(&values, &mut rng).unwrap()
-        };
-        let streamed = {
-            let mut rng = SplitMix64::new(77);
-            let client = Client::new(&est);
-            let mut agg = Aggregator::new(&est);
-            for v in &values {
-                agg.push(&client.randomize(v, &mut rng).unwrap()).unwrap();
-            }
-            agg.finalize().unwrap()
-        };
-        assert_eq!(legacy.probs(), streamed.probs());
-    }
 
     #[test]
     fn absorb_rejects_malformed_reports() {

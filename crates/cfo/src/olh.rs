@@ -12,8 +12,7 @@
 //! independence across users is what the estimator needs, and each user
 //! drawing an independent 64-bit seed provides it.
 
-use crate::error::CfoError;
-use crate::oracle::{check_value, FrequencyOracle};
+use crate::error::{check_value, CfoError};
 use ldp_core::{Domain, Epsilon};
 use ldp_numeric::kernels::{self, ModReducer};
 use ldp_numeric::rng::mix64;
@@ -117,17 +116,15 @@ impl Olh {
     }
 
     /// Adds every report's support pattern to per-value support counts —
-    /// the O(d) inversion step shared by one-shot aggregation and both
-    /// streaming absorb paths, one [`kernels::hash_support`] walk over the
-    /// cached `mix64(v)` table. It equals an [`olh_hash`] reference loop
+    /// the O(d) inversion step shared by both absorb paths, one
+    /// [`kernels::hash_support`] walk over the cached `mix64(v)` table. It equals an [`olh_hash`] reference loop
     /// bit for bit.
     pub(crate) fn add_support(&self, support: &mut [u64], reports: &[OlhReport]) {
         let pairs = reports.iter().map(|r| (r.seed, r.y));
         kernels::hash_support(support, &self.value_mix, pairs, self.reducer);
     }
 
-    /// Debiases support counts into frequency estimates; shared by both
-    /// aggregation paths so they are bit-identical.
+    /// Debiases support counts into frequency estimates.
     pub(crate) fn estimate_from_support(&self, support: &[u64], n: u64) -> Vec<f64> {
         if n == 0 {
             return vec![0.0; self.d];
@@ -139,20 +136,25 @@ impl Olh {
             .map(|&c| (c as f64 / nf - inv_g) / (self.p - inv_g))
             .collect()
     }
-}
 
-impl FrequencyOracle for Olh {
-    type Report = OlhReport;
-
-    fn domain_size(&self) -> usize {
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
         self.d
     }
 
-    fn epsilon(&self) -> f64 {
+    /// The privacy budget ε the randomizer satisfies.
+    #[must_use]
+    pub fn epsilon(&self) -> f64 {
         self.eps
     }
 
-    fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<OlhReport, CfoError> {
+    /// Client side: randomizes one private value in `{0, …, d-1}`.
+    pub fn randomize<R: Rng + ?Sized>(
+        &self,
+        value: usize,
+        rng: &mut R,
+    ) -> Result<OlhReport, CfoError> {
         check_value(value, self.d)?;
         let seed: u64 = rng.gen();
         let h = olh_hash(seed, value, self.g);
@@ -168,13 +170,9 @@ impl FrequencyOracle for Olh {
         Ok(OlhReport { seed, y })
     }
 
-    fn aggregate(&self, reports: &[OlhReport]) -> Vec<f64> {
-        let mut support = vec![0u64; self.d];
-        self.add_support(&mut support, reports);
-        self.estimate_from_support(&support, reports.len() as u64)
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
+    /// Approximate variance of one frequency estimate given `n` reports.
+    #[must_use]
+    pub fn estimate_variance(&self, n: usize) -> f64 {
         Self::theoretical_variance(self.eps, n.max(1))
     }
 }
@@ -182,6 +180,7 @@ impl FrequencyOracle for Olh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -246,7 +245,7 @@ mod tests {
                 _ => 63,
             })
             .collect();
-        let est = o.run(&values, &mut rng).unwrap();
+        let est = crate::run(&o, &values, &mut rng);
         assert!((est[3] - 0.5).abs() < 0.03, "est[3]={}", est[3]);
         assert!((est[40] - 0.3).abs() < 0.03, "est[40]={}", est[40]);
         assert!((est[63] - 0.2).abs() < 0.03, "est[63]={}", est[63]);
@@ -263,7 +262,7 @@ mod tests {
         let mut errs = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = SplitMix64::new(2000 + t as u64);
-            let est = o.run(&values, &mut rng).unwrap();
+            let est = crate::run(&o, &values, &mut rng);
             errs.push(est[0]);
         }
         let emp_var = ldp_numeric::stats::variance(&errs);
@@ -294,6 +293,6 @@ mod tests {
     #[test]
     fn aggregate_empty_reports_gives_zeros() {
         let o = Olh::new(8, 1.0).unwrap();
-        assert_eq!(o.aggregate(&[]), vec![0.0; 8]);
+        assert_eq!(Mechanism::aggregate(&o, &[]).unwrap(), vec![0.0; 8]);
     }
 }

@@ -7,8 +7,7 @@
 //! probability ½ and every other position flips on with probability
 //! `1/(eᵉ+1)`.
 
-use crate::error::CfoError;
-use crate::oracle::{check_value, FrequencyOracle};
+use crate::error::{check_value, CfoError};
 use ldp_core::{Domain, Epsilon};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -99,8 +98,8 @@ impl Oue {
         4.0 * e / ((e - 1.0) * (e - 1.0) * n as f64)
     }
 
-    /// Adds one report's set bits to per-position counts; shared by both
-    /// aggregation paths.
+    /// Adds one report's set bits to per-position counts (the per-report
+    /// absorb path).
     pub(crate) fn add_counts(&self, counts: &mut [u64], report: &OueReport) {
         for (w, &word) in report.bits.iter().enumerate() {
             let mut bits = word;
@@ -115,8 +114,7 @@ impl Oue {
         }
     }
 
-    /// Debiases per-position counts into frequency estimates; shared by
-    /// both aggregation paths so they are bit-identical.
+    /// Debiases per-position counts into frequency estimates.
     pub(crate) fn estimate_from_counts(&self, counts: &[u64], n: u64) -> Vec<f64> {
         if n == 0 {
             return vec![0.0; self.d];
@@ -127,20 +125,25 @@ impl Oue {
             .map(|&c| (c as f64 / nf - self.q) / (self.p - self.q))
             .collect()
     }
-}
 
-impl FrequencyOracle for Oue {
-    type Report = OueReport;
-
-    fn domain_size(&self) -> usize {
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
         self.d
     }
 
-    fn epsilon(&self) -> f64 {
+    /// The privacy budget ε the randomizer satisfies.
+    #[must_use]
+    pub fn epsilon(&self) -> f64 {
         self.eps
     }
 
-    fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<OueReport, CfoError> {
+    /// Client side: randomizes one private value in `{0, …, d-1}`.
+    pub fn randomize<R: Rng + ?Sized>(
+        &self,
+        value: usize,
+        rng: &mut R,
+    ) -> Result<OueReport, CfoError> {
         check_value(value, self.d)?;
         let mut report = OueReport {
             bits: vec![0u64; self.d.div_ceil(64)],
@@ -167,23 +170,12 @@ impl FrequencyOracle for Oue {
         }
         Ok(report)
     }
-
-    fn aggregate(&self, reports: &[OueReport]) -> Vec<f64> {
-        let mut counts = vec![0u64; self.d];
-        for r in reports {
-            self.add_counts(&mut counts, r);
-        }
-        self.estimate_from_counts(&counts, reports.len() as u64)
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
-        Self::theoretical_variance(self.eps, n.max(1))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -239,7 +231,7 @@ mod tests {
         let mut rng = SplitMix64::new(32);
         let n = 60_000;
         let values: Vec<usize> = (0..n).map(|i| if i % 10 < 7 { 5 } else { 20 }).collect();
-        let est = o.run(&values, &mut rng).unwrap();
+        let est = crate::run(&o, &values, &mut rng);
         assert!((est[5] - 0.7).abs() < 0.03, "est[5]={}", est[5]);
         assert!((est[20] - 0.3).abs() < 0.03, "est[20]={}", est[20]);
     }
@@ -255,7 +247,7 @@ mod tests {
         let mut errs = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = SplitMix64::new(4000 + t as u64);
-            let est = o.run(&values, &mut rng).unwrap();
+            let est = crate::run(&o, &values, &mut rng);
             errs.push(est[0]);
         }
         let emp_var = ldp_numeric::stats::variance(&errs);
@@ -272,6 +264,6 @@ mod tests {
         let o = Oue::new(8, 1.0).unwrap();
         let mut rng = SplitMix64::new(3);
         assert!(o.randomize(8, &mut rng).is_err());
-        assert_eq!(o.aggregate(&[]), vec![0.0; 8]);
+        assert_eq!(Mechanism::aggregate(&o, &[]).unwrap(), vec![0.0; 8]);
     }
 }

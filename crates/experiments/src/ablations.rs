@@ -15,11 +15,12 @@ use crate::config::ExperimentConfig;
 use crate::error::ExperimentError;
 use crate::report::{Chart, Figure, Series};
 use crate::runner::parallel_jobs;
+use ldp_core::{Aggregator, Client};
 use ldp_datasets::{DatasetKind, DatasetSpec};
 use ldp_metrics as metrics;
 use ldp_numeric::rng::mix64;
 use ldp_numeric::{Histogram, SplitMix64};
-use ldp_sw::{reconstruct, reconstruct_inversion, EmConfig, SmoothingKernel, SwPipeline};
+use ldp_sw::{reconstruct, reconstruct_inversion, EmConfig, SmoothingKernel, SwMechanism};
 
 fn first_dataset(config: &ExperimentConfig) -> DatasetKind {
     config
@@ -31,17 +32,15 @@ fn first_dataset(config: &ExperimentConfig) -> DatasetKind {
 
 /// Generates one set of perturbed counts for a (dataset, ε, trial seed).
 fn perturbed_counts(
-    pipeline: &SwPipeline,
+    mechanism: &SwMechanism,
     values: &[f64],
     seed: u64,
 ) -> Result<Vec<f64>, ExperimentError> {
     let mut rng = SplitMix64::new(seed);
-    let mut counts = vec![0.0; pipeline.output_buckets()];
-    for &v in values {
-        let r = pipeline.randomize(v, &mut rng)?;
-        counts[pipeline.report_bucket(r)] += 1.0;
-    }
-    Ok(counts)
+    let reports = Client::new(mechanism).randomize_batch(values, &mut rng)?;
+    let mut agg = Aggregator::new(mechanism);
+    agg.push_slice(&reports)?;
+    Ok(agg.state().to_counts())
 }
 
 /// EM stopping-threshold sensitivity (the paper's §5.5 motivation for EMS).
@@ -57,7 +56,8 @@ pub fn ablation_em_threshold(config: &ExperimentConfig) -> Result<Figure, Experi
     let spec = DatasetSpec::scaled(kind, config.scale, mix64(config.seed ^ 0xAB1));
     let ds = spec.generate();
     let truth = ds.histogram(d)?;
-    let pipeline = SwPipeline::new(eps, d)?;
+    let mechanism = SwMechanism::ems(eps, d)?;
+    let pipeline = mechanism.pipeline();
 
     let thresholds: Vec<f64> = vec![1e-6, 1e-4, 1e-2, 1e0, 1e2];
     let variants: Vec<(&str, bool)> = vec![("EM", false), ("EMS", true)];
@@ -71,7 +71,7 @@ pub fn ablation_em_threshold(config: &ExperimentConfig) -> Result<Figure, Experi
         // Reuse the same reports across thresholds within a trial so the
         // comparison isolates the stopping rule.
         let counts = perturbed_counts(
-            &pipeline,
+            &mechanism,
             &ds.values,
             mix64(config.seed ^ mix64(trial as u64 + 0xE41)),
         )?;
@@ -155,9 +155,10 @@ pub fn ablation_reconstruction(config: &ExperimentConfig) -> Result<Figure, Expe
         let ei = rest % config.epsilons.len();
         let vi = rest / config.epsilons.len();
         let eps = config.epsilons[ei];
-        let pipeline = SwPipeline::new(eps, d)?;
+        let mechanism = SwMechanism::ems(eps, d)?;
+        let pipeline = mechanism.pipeline();
         let counts = perturbed_counts(
-            &pipeline,
+            &mechanism,
             &ds.values,
             mix64(config.seed ^ mix64((trial as u64) << 8 ^ ei as u64 ^ 0xE42)),
         )?;
@@ -227,9 +228,10 @@ pub fn ablation_smoothing(config: &ExperimentConfig) -> Result<Figure, Experimen
         let ei = rest % config.epsilons.len();
         let vi = rest / config.epsilons.len();
         let eps = config.epsilons[ei];
-        let pipeline = SwPipeline::new(eps, d)?;
+        let mechanism = SwMechanism::ems(eps, d)?;
+        let pipeline = mechanism.pipeline();
         let counts = perturbed_counts(
-            &pipeline,
+            &mechanism,
             &ds.values,
             mix64(config.seed ^ mix64((trial as u64) << 8 ^ ei as u64 ^ 0xE43)),
         )?;

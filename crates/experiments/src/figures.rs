@@ -10,13 +10,14 @@
 use crate::config::ExperimentConfig;
 use crate::error::ExperimentError;
 use crate::methods::Method;
+use crate::registry::stream;
 use crate::report::{Chart, Figure, Series};
 use crate::runner::{parallel_jobs, run_grid, TrialMetrics};
 use ldp_datasets::{Dataset, DatasetKind, DatasetSpec};
 use ldp_metrics as metrics;
 use ldp_numeric::rng::mix64;
 use ldp_numeric::{Histogram, SplitMix64};
-use ldp_sw::{optimal_b, Reconstruction, SwPipeline, Wave, WaveShape};
+use ldp_sw::{optimal_b, Reconstruction, SwMechanism, SwPipeline, Wave, WaveShape};
 
 /// Materializes a dataset at the configured scale, together with its
 /// ground-truth histogram at granularity `d`.
@@ -161,8 +162,9 @@ fn wave_trial(
     seed: u64,
 ) -> Result<f64, ExperimentError> {
     let pipeline = SwPipeline::with_wave(wave, d, d)?;
+    let mechanism = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
     let mut rng = SplitMix64::new(seed);
-    let est = pipeline.estimate(values, &Reconstruction::Ems, &mut rng)?;
+    let est = stream(&mechanism, values.iter().copied(), &mut rng)?;
     Ok(metrics::wasserstein(truth, &est)?)
 }
 

@@ -343,37 +343,4 @@ mod tests {
             _ => panic!("expected distributions"),
         }
     }
-
-    /// The registry dispatch must preserve the pre-redesign estimates for
-    /// the mechanisms whose RNG consumption order is unchanged: the SW
-    /// paths randomize each value sequentially on the trial stream exactly
-    /// as the old hand-written loop did.
-    #[test]
-    fn sw_dispatch_is_bit_identical_to_legacy_pipeline_path() {
-        let vals = values();
-        let eps = 1.0;
-        let d = 32;
-        for (method, reconstruction) in [
-            (Method::SwEms, ldp_sw::Reconstruction::Ems),
-            (Method::SwEm, ldp_sw::Reconstruction::Em),
-        ] {
-            let est = match run_method(method, &vals, d, eps, 1234).unwrap() {
-                Estimate::Distribution(h) => h,
-                _ => panic!("expected a distribution"),
-            };
-            // The legacy path: sequential randomization on the trial RNG,
-            // ShardAggregator ingestion, EM/EMS reconstruction.
-            let pipeline = ldp_sw::SwPipeline::new(eps, d).unwrap();
-            let mut rng = SplitMix64::new(1234);
-            let mut agg = ldp_sw::ShardAggregator::for_pipeline(&pipeline);
-            for &v in &vals {
-                agg.push(pipeline.randomize(v, &mut rng).unwrap()).unwrap();
-            }
-            let legacy = pipeline
-                .reconstruct(&agg.to_counts(), &reconstruction)
-                .unwrap()
-                .histogram;
-            assert_eq!(est.probs(), legacy.probs(), "{}", method.name());
-        }
-    }
 }

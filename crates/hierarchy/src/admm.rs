@@ -168,7 +168,7 @@ mod tests {
         let mut rng = SplitMix64::new(seed);
         // Mass concentrated on the first quarter of the domain.
         let values: Vec<usize> = (0..40_000).map(|i| (i * 7) % (d / 4)).collect();
-        let raw = hh.collect(&values, &mut rng).unwrap();
+        let raw = crate::run(&hh, &values, &mut rng).unwrap();
         (hh, raw)
     }
 
@@ -207,7 +207,7 @@ mod tests {
         for &v in &values {
             truth[v] += 1.0 / values.len() as f64;
         }
-        let raw = hh.collect(&values, &mut rng).unwrap();
+        let raw = crate::run(&hh, &values, &mut rng).unwrap();
         let raw_leaves = hh.make_consistent(&raw).unwrap().leaves().to_vec();
         let admm = hh_admm_histogram(hh.shape(), &raw, AdmmConfig::default()).unwrap();
         let err_raw: f64 = raw_leaves

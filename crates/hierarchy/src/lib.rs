@@ -39,3 +39,13 @@ pub use haar::{haar_forward, haar_inverse, HaarCoefficients, HaarHrr};
 pub use hh::{HhRaw, HierarchicalHistogram};
 pub use mechanism::{HaarReport, HaarState, HhReport, HhState};
 pub use tree::{TreeShape, TreeValues};
+
+/// Test helper: randomizes `values` on one RNG stream, then aggregates.
+#[cfg(test)]
+fn run<M: ldp_core::Mechanism<Input = usize>>(
+    m: &M,
+    values: &[usize],
+    rng: &mut ldp_numeric::SplitMix64,
+) -> Result<M::Output, ldp_core::CoreError> {
+    m.aggregate(&ldp_core::Client::new(m).randomize_batch(values, rng)?)
+}

@@ -17,7 +17,7 @@ use crate::hh::{HhRaw, HierarchicalHistogram};
 use crate::tree::TreeValues;
 use ldp_cfo::hadamard::HrrReport;
 use ldp_cfo::select::AdaptiveReport;
-use ldp_cfo::{AdaptiveState, FrequencyOracle, SpectrumState};
+use ldp_cfo::{AdaptiveState, SpectrumState};
 use ldp_core::params::fingerprint_fields;
 use ldp_core::snapshot::{expect_tag, next_line, parse_snapshot_field, SnapshotState};
 use ldp_core::wire::parse_field;
@@ -52,12 +52,6 @@ impl HhState {
     #[must_use]
     pub fn level_total(&self, level: usize) -> u64 {
         self.levels[level - 1].total()
-    }
-
-    /// Mutable access to one level's oracle state (shared with the batch
-    /// collection path in `hh.rs`).
-    pub(crate) fn level_mut(&mut self, level: usize) -> &mut AdaptiveState {
-        &mut self.levels[level - 1]
     }
 
     /// Total reports absorbed across all levels.
@@ -188,7 +182,7 @@ impl Mechanism for HierarchicalHistogram {
             let n = state.level_total(level);
             tree.levels[level] = if n == 0 {
                 // No user sampled this level: fall back to the
-                // uninformative uniform estimate, as the batch path does.
+                // uninformative uniform estimate.
                 let domain = self.shape().level_size(level);
                 vec![1.0 / domain as f64; domain]
             } else {
@@ -224,12 +218,6 @@ impl HaarState {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.levels.iter().map(SpectrumState::total).sum()
-    }
-
-    /// Mutable access to one height's spectrum state (shared with the
-    /// batch collection path in `haar.rs`).
-    pub(crate) fn level_mut(&mut self, m: usize) -> &mut SpectrumState {
-        &mut self.levels[m - 1]
     }
 }
 
@@ -326,8 +314,8 @@ impl Mechanism for HaarHrr {
         for m in 1..=h {
             let coeff_count = d >> m;
             let scale = 2f64.powf(m as f64 / 2.0);
-            // An empty height finalizes to all-zero frequencies, matching
-            // the batch path's uninformative zero coefficients.
+            // An empty height finalizes to all-zero frequencies: the
+            // uninformative zero coefficients.
             let freqs = self.height_oracle(m).finalize(&state.levels[m - 1])?;
             let det: Vec<f64> = (0..coeff_count)
                 .map(|k| (freqs[2 * k] - freqs[2 * k + 1]) / scale)

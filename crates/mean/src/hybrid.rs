@@ -97,16 +97,6 @@ impl Hybrid {
         }
     }
 
-    /// Server side: the unbiased mean estimate.
-    #[must_use]
-    pub fn estimate_mean(&self, reports: &[HybridReport]) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = reports.iter().map(|&r| self.debias(r)).sum();
-        sum / reports.len() as f64
-    }
-
     /// Variance of one debiased report for input `v`: the β-mixture of the
     /// component variances (both components are unbiased, so the mixture
     /// variance is the mixture of second moments minus `v²`).
@@ -121,23 +111,12 @@ impl Hybrid {
         };
         self.beta * pm_second + (1.0 - self.beta) * gamma - v * v
     }
-
-    /// Full protocol over values in `[-1, 1]`.
-    pub fn run<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Result<f64, MeanError> {
-        let mut sum = 0.0;
-        for &v in values {
-            sum += self.debias(self.randomize(v, rng)?);
-        }
-        if values.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(sum / values.len() as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -184,7 +163,7 @@ mod tests {
                 .map(|i| if i % 4 == 0 { 0.9 } else { -0.1 })
                 .collect();
             // True mean: 0.25·0.9 − 0.75·0.1 = 0.15.
-            let est = h.run(&values, &mut rng).unwrap();
+            let est = crate::mean_of(&h, &values, &mut rng);
             assert!((est - 0.15).abs() < 0.03, "eps={eps}: {est}");
         }
     }
@@ -225,6 +204,6 @@ mod tests {
         let h = Hybrid::new(1.0).unwrap();
         let mut rng = SplitMix64::new(7004);
         assert!(h.randomize(1.2, &mut rng).is_err());
-        assert_eq!(h.estimate_mean(&[]), 0.0);
+        assert_eq!(Mechanism::aggregate(&h, &[]).unwrap(), 0.0);
     }
 }

@@ -32,3 +32,16 @@ pub use mechanism::MeanState;
 pub use pm::Pm;
 pub use sr::{from_signed, to_signed, Sr};
 pub use variance::{MeanMechanism, MeanVariance, MeanVarianceEstimate};
+
+/// Test helper: randomizes `values` on one RNG stream, then aggregates.
+#[cfg(test)]
+fn mean_of<M: ldp_core::Mechanism<Input = f64, Output = f64>>(
+    m: &M,
+    values: &[f64],
+    rng: &mut ldp_numeric::SplitMix64,
+) -> f64 {
+    let reports = ldp_core::Client::new(m)
+        .randomize_batch(values, rng)
+        .unwrap();
+    m.aggregate(&reports).unwrap()
+}

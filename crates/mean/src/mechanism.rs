@@ -67,8 +67,7 @@ impl MeanState {
         self.n += other.n;
     }
 
-    /// The mean estimate: `0` when empty (matching the legacy
-    /// `estimate_mean` behavior on an empty report set).
+    /// The mean estimate: `0` when empty.
     fn mean(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
@@ -359,41 +358,6 @@ mod tests {
             .collect()
     }
 
-    /// Streaming through the unified API must agree with the legacy `run`
-    /// protocols to within exact-summation rounding (the legacy path uses
-    /// naive accumulation; the streaming state is exactly rounded).
-    #[test]
-    fn streaming_agrees_with_legacy_run() {
-        let values = signed_values(4_000);
-
-        macro_rules! check {
-            ($mech:expr) => {{
-                let mech = $mech;
-                let legacy = {
-                    let mut rng = SplitMix64::new(88);
-                    mech.run(&values, &mut rng).unwrap()
-                };
-                let streamed = {
-                    let mut rng = SplitMix64::new(88);
-                    let client = Client::new(&mech);
-                    let mut agg = Aggregator::new(&mech);
-                    for v in &values {
-                        agg.push(&client.randomize(v, &mut rng).unwrap()).unwrap();
-                    }
-                    agg.finalize().unwrap()
-                };
-                assert!(
-                    (legacy - streamed).abs() <= 1e-12 * legacy.abs().max(1.0),
-                    "legacy {legacy} vs streamed {streamed}"
-                );
-            }};
-        }
-
-        check!(Sr::new(1.0).unwrap());
-        check!(Pm::new(1.0).unwrap());
-        check!(Hybrid::new(2.0).unwrap());
-    }
-
     #[test]
     fn merged_shards_match_one_shot_bit_for_bit() {
         // PM reports are continuous, the hard case for exact merging.
@@ -445,7 +409,6 @@ mod tests {
     fn empty_state_finalizes_to_zero_like_legacy() {
         let sr = Sr::new(1.0).unwrap();
         assert_eq!(sr.finalize(&sr.empty_state()).unwrap(), 0.0);
-        assert_eq!(sr.estimate_mean(&[]), 0.0);
     }
 
     #[test]

@@ -79,16 +79,6 @@ impl Pm {
         }
     }
 
-    /// Server side: PM reports are already unbiased, so the mean estimate is
-    /// the plain average.
-    #[must_use]
-    pub fn estimate_mean(&self, reports: &[f64]) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        reports.iter().sum::<f64>() / reports.len() as f64
-    }
-
     /// Worst-case variance of a single report (at `v = ±1`); from Wang et
     /// al.: `v²·(…) + (e^{ε/2}+3)/(3(e^{ε/2}-1)²)` evaluated via the exact
     /// second moment below.
@@ -107,23 +97,12 @@ impl Pm {
         let cube = |a: f64, b: f64| (b * b * b - a * a * a) / 3.0;
         d_low * cube(-self.s, lo) + d_high * cube(lo, hi) + d_low * cube(hi, self.s)
     }
-
-    /// Full protocol over values in `[-1, 1]`.
-    pub fn run<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Result<f64, MeanError> {
-        let mut sum = 0.0;
-        for &v in values {
-            sum += self.randomize(v, rng)?;
-        }
-        if values.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(sum / values.len() as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -235,6 +214,6 @@ mod tests {
     #[test]
     fn empty_reports_give_zero() {
         let pm = Pm::new(1.0).unwrap();
-        assert_eq!(pm.estimate_mean(&[]), 0.0);
+        assert_eq!(Mechanism::aggregate(&pm, &[]).unwrap(), 0.0);
     }
 }

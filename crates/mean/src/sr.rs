@@ -52,34 +52,12 @@ impl Sr {
         report / (2.0 * self.p - 1.0)
     }
 
-    /// Server side: the unbiased mean estimate from raw ±1 reports.
-    #[must_use]
-    pub fn estimate_mean(&self, reports: &[f64]) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = reports.iter().map(|&r| self.debias(r)).sum();
-        sum / reports.len() as f64
-    }
-
     /// Variance of one debiased report for input `v`:
     /// `1/(p-q)² − v²`.
     #[must_use]
     pub fn report_variance(&self, v: f64) -> f64 {
         let gamma = 2.0 * self.p - 1.0;
         1.0 / (gamma * gamma) - v * v
-    }
-
-    /// Full protocol over values in `[-1, 1]`.
-    pub fn run<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Result<f64, MeanError> {
-        let mut sum = 0.0;
-        for &v in values {
-            sum += self.debias(self.randomize(v, rng)?);
-        }
-        if values.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(sum / values.len() as f64)
     }
 }
 
@@ -99,6 +77,7 @@ pub fn from_signed(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -129,7 +108,7 @@ mod tests {
         let values: Vec<f64> = (0..200_000)
             .map(|i| if i % 2 == 0 { 0.75 } else { -0.25 })
             .collect();
-        let est = sr.run(&values, &mut rng).unwrap();
+        let est = crate::mean_of(&sr, &values, &mut rng);
         assert!((est - 0.25).abs() < 0.02, "est {est}");
     }
 
@@ -189,6 +168,6 @@ mod tests {
     #[test]
     fn empty_reports_give_zero() {
         let sr = Sr::new(1.0).unwrap();
-        assert_eq!(sr.estimate_mean(&[]), 0.0);
+        assert_eq!(Mechanism::aggregate(&sr, &[]).unwrap(), 0.0);
     }
 }

@@ -12,6 +12,7 @@
 use crate::error::MeanError;
 use crate::pm::Pm;
 use crate::sr::{from_signed, to_signed, Sr};
+use ldp_core::{Client, CoreError, Mechanism};
 use rand::Rng;
 
 /// Which base mechanism carries the reports.
@@ -60,22 +61,6 @@ impl MeanVariance {
         self.mechanism
     }
 
-    /// Estimates only the mean, using the full population (what Figure 4's
-    /// first row evaluates: "SR and PM devote all privacy budget to estimate
-    /// mean").
-    pub fn estimate_mean<R: Rng + ?Sized>(
-        &self,
-        values01: &[f64],
-        rng: &mut R,
-    ) -> Result<f64, MeanError> {
-        let signed: Vec<f64> = values01
-            .iter()
-            .map(|&v| to_signed(v.clamp(0.0, 1.0)))
-            .collect();
-        let est = self.run_mechanism(&signed, rng)?;
-        Ok(from_signed(est.clamp(-1.0, 1.0)))
-    }
-
     /// Runs the full two-phase protocol: the first half of the (shuffled
     /// by the caller if needed) population estimates the mean, the second
     /// half the variance.
@@ -89,20 +74,22 @@ impl MeanVariance {
                 "variance protocol needs at least 2 users".into(),
             ));
         }
+        let values: Vec<f64> = values01.iter().map(|v| v.clamp(0.0, 1.0)).collect();
         // Random 50/50 split: each user flips a fair coin for its phase.
-        let mut phase1 = Vec::with_capacity(values01.len() / 2 + 1);
-        let mut phase2 = Vec::with_capacity(values01.len() / 2 + 1);
-        for &v in values01 {
+        let mut phase1 = Vec::with_capacity(values.len() / 2 + 1);
+        let mut phase2 = Vec::with_capacity(values.len() / 2 + 1);
+        for &v in &values {
             if rng.gen::<bool>() {
-                phase1.push(v.clamp(0.0, 1.0));
+                phase1.push(v);
             } else {
-                phase2.push(v.clamp(0.0, 1.0));
+                phase2.push(v);
             }
         }
         if phase1.is_empty() || phase2.is_empty() {
             // Degenerate split (only possible for tiny populations).
-            phase1 = values01[..values01.len() / 2].to_vec();
-            phase2 = values01[values01.len() / 2..].to_vec();
+            let (first, second) = values.split_at(values.len() / 2);
+            phase1 = first.to_vec();
+            phase2 = second.to_vec();
         }
 
         let signed1: Vec<f64> = phase1.iter().map(|&v| to_signed(v)).collect();
@@ -123,15 +110,24 @@ impl MeanVariance {
         Ok(MeanVarianceEstimate { mean, variance })
     }
 
+    /// One phase: every user in `signed` reports through the mechanism
+    /// on `rng`, and the server aggregates the reports into a mean.
     fn run_mechanism<R: Rng + ?Sized>(
         &self,
         signed: &[f64],
         rng: &mut R,
     ) -> Result<f64, MeanError> {
-        match self.mechanism {
-            MeanMechanism::Sr => Sr::new(self.eps)?.run(signed, rng),
-            MeanMechanism::Pm => Pm::new(self.eps)?.run(signed, rng),
+        fn phase<M, R>(mechanism: &M, signed: &[f64], rng: &mut R) -> Result<f64, CoreError>
+        where
+            M: Mechanism<Input = f64, Output = f64>,
+            R: Rng + ?Sized,
+        {
+            mechanism.aggregate(&Client::new(mechanism).randomize_batch(signed, rng)?)
         }
+        Ok(match self.mechanism {
+            MeanMechanism::Sr => phase(&Sr::new(self.eps)?, signed, rng)?,
+            MeanMechanism::Pm => phase(&Pm::new(self.eps)?, signed, rng)?,
+        })
     }
 }
 
@@ -159,8 +155,8 @@ mod tests {
         for mech in [MeanMechanism::Sr, MeanMechanism::Pm] {
             let proto = MeanVariance::new(mech, 2.0).unwrap();
             let mut rng = SplitMix64::new(161);
-            let est = proto.estimate_mean(&workload(), &mut rng).unwrap();
-            assert!((est - 0.5).abs() < 0.02, "{mech:?}: {est}");
+            let est = proto.estimate(&workload(), &mut rng).unwrap();
+            assert!((est.mean - 0.5).abs() < 0.02, "{mech:?}: {}", est.mean);
         }
     }
 
@@ -204,10 +200,14 @@ mod tests {
     #[test]
     fn out_of_range_values_are_clamped_not_rejected() {
         // Dataset preprocessing clamps, mirroring the paper's extraction
-        // step; the protocol should tolerate slight overshoot.
+        // step; the protocol should tolerate slight overshoot. Some seeds
+        // draw a degenerate 50/50 split (e.g. 2 and 165), so this also
+        // covers the fallback split.
         let proto = MeanVariance::new(MeanMechanism::Sr, 1.0).unwrap();
-        let mut rng = SplitMix64::new(165);
-        let est = proto.estimate_mean(&[1.2, -0.1, 0.5, 0.5], &mut rng);
-        assert!(est.is_ok());
+        for seed in 0..200 {
+            let mut rng = SplitMix64::new(seed);
+            let est = proto.estimate(&[1.2, -0.1, 0.5, 0.5], &mut rng);
+            assert!(est.is_ok(), "seed {seed}: {est:?}");
+        }
     }
 }

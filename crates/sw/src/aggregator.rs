@@ -92,8 +92,8 @@ impl ShardAggregator {
     ///
     /// One validation pass over the slice up front, then a branch-free
     /// counting pass — no per-report `Result` plumbing in the hot loop,
-    /// which is what the batched randomization path and the experiment
-    /// runner feed through. All-or-nothing: on error the aggregator is
+    /// which is what [`ldp_core::Mechanism::absorb_slice`] feeds through.
+    /// All-or-nothing: on error the aggregator is
     /// unchanged and the message names the first offending index.
     ///
     /// Both passes run through the `ldp_numeric::kernels` AVX2 kernels
@@ -186,31 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_batch_aggregation() {
-        let p = pipeline();
-        let mut rng = SplitMix64::new(5001);
-        let values: Vec<f64> = (0..5_000).map(|i| (i % 100) as f64 / 100.0).collect();
-        let reports: Vec<f64> = values
-            .iter()
-            .map(|&v| p.randomize(v, &mut rng).unwrap())
-            .collect();
-        let batch = p.aggregate(&reports);
-        let mut agg = ShardAggregator::for_pipeline(&p);
-        for &r in &reports {
-            agg.push(r).unwrap();
-        }
-        assert_eq!(agg.total(), reports.len() as u64);
-        for (a, b) in agg.to_counts().iter().zip(&batch) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn sharded_merge_equals_single_shard() {
         let p = pipeline();
         let mut rng = SplitMix64::new(5002);
         let reports: Vec<f64> = (0..3_000)
-            .map(|i| p.randomize((i % 97) as f64 / 97.0, &mut rng).unwrap())
+            .map(|i| {
+                p.wave()
+                    .randomize((i % 97) as f64 / 97.0, &mut rng)
+                    .unwrap()
+            })
             .collect();
         let mut single = ShardAggregator::for_pipeline(&p);
         for &r in &reports {
@@ -234,7 +218,11 @@ mod tests {
         let p = pipeline();
         let mut rng = SplitMix64::new(5004);
         let reports: Vec<f64> = (0..4_000)
-            .map(|i| p.randomize((i % 89) as f64 / 89.0, &mut rng).unwrap())
+            .map(|i| {
+                p.wave()
+                    .randomize((i % 89) as f64 / 89.0, &mut rng)
+                    .unwrap()
+            })
             .collect();
         let mut bulk = ShardAggregator::for_pipeline(&p);
         bulk.push_slice(&reports).unwrap();
@@ -286,8 +274,12 @@ mod tests {
         let mut rng = SplitMix64::new(5005);
         let mut agg = ShardAggregator::for_pipeline(&p);
         for i in 0..2_000 {
-            agg.push(p.randomize((i % 83) as f64 / 83.0, &mut rng).unwrap())
-                .unwrap();
+            agg.push(
+                p.wave()
+                    .randomize((i % 83) as f64 / 83.0, &mut rng)
+                    .unwrap(),
+            )
+            .unwrap();
         }
         let mut text = String::new();
         agg.encode_state(&mut text);
@@ -298,7 +290,7 @@ mod tests {
         // Continued ingestion behaves identically (domain bounds intact).
         let mut a = agg.clone();
         let mut b = restored;
-        let r = p.randomize(0.5, &mut rng).unwrap();
+        let r = p.wave().randomize(0.5, &mut rng).unwrap();
         a.push(r).unwrap();
         b.push(r).unwrap();
         assert_eq!(a, b);
@@ -319,7 +311,7 @@ mod tests {
         let mut agg = ShardAggregator::for_pipeline(&p);
         for i in 0..20_000 {
             let v = 0.3 + 0.4 * ((i % 500) as f64 / 500.0);
-            agg.push(p.randomize(v, &mut rng).unwrap()).unwrap();
+            agg.push(p.wave().randomize(v, &mut rng).unwrap()).unwrap();
         }
         let result = p
             .reconstruct(&agg.to_counts(), &Reconstruction::Ems)

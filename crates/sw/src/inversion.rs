@@ -96,7 +96,7 @@ mod tests {
     use super::*;
     use crate::transition::transition_matrix;
     use crate::wave::Wave;
-    use crate::{EmConfig, Reconstruction, SwPipeline};
+    use crate::{EmConfig, Reconstruction, ShardAggregator, SwPipeline};
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -163,9 +163,11 @@ mod tests {
 
         let reports: Vec<f64> = values
             .iter()
-            .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
+            .map(|&v| pipeline.wave().randomize(v, &mut rng).unwrap())
             .collect();
-        let counts = pipeline.aggregate(&reports);
+        let mut agg = ShardAggregator::for_pipeline(&pipeline);
+        agg.push_slice(&reports).unwrap();
+        let counts = agg.to_counts();
         let inv = reconstruct_inversion(pipeline.transition(), &counts).unwrap();
         let ems = pipeline
             .reconstruct(&counts, &Reconstruction::Ems)

@@ -1,19 +1,20 @@
-//! End-to-end Square Wave pipeline: the public API a deployment would use.
+//! The Square Wave configuration: wave, bucket counts and transition
+//! operator.
 //!
-//! Client side: [`SwPipeline::randomize`] perturbs one private value in
-//! `[0, 1]`. Server side: [`SwPipeline::aggregate`] histograms the perturbed
-//! reports ("randomize before bucketize", §5.4) and
-//! [`SwPipeline::reconstruct`] runs EM/EMS through the exact transition
-//! matrix to recover the input distribution.
+//! [`SwPipeline`] holds what both sides of a deployment share. Clients
+//! perturb through [`SwPipeline::wave`]; the server histograms reports into
+//! `d̃` buckets ("randomize before bucketize", §5.4) and
+//! [`SwPipeline::reconstruct`] runs EM/EMS through the transition operator
+//! to recover the input distribution. [`crate::SwMechanism`] wires both
+//! sides into the `ldp-core` `Client`/`Aggregator` API.
 
 use crate::bandwidth::optimal_b;
 use crate::em::{reconstruct, EmConfig, EmResult};
 use crate::error::SwError;
 use crate::operator::BandedBaselineOperator;
 use crate::transition::transition_matrix;
-use crate::wave::{Wave, WaveShape};
-use ldp_numeric::{Histogram, Matrix};
-use rand::Rng;
+use crate::wave::Wave;
+use ldp_numeric::Matrix;
 use std::sync::OnceLock;
 
 /// Which reconstruction the aggregator runs.
@@ -92,9 +93,8 @@ impl SwPipeline {
     /// The exact `d̃ × d` transition matrix (dense; kept for consumers that
     /// need entrywise access, e.g. the unbiased-inversion baseline).
     ///
-    /// Built lazily on the first call and cached; the estimation paths
-    /// ([`Self::estimate`], [`Self::estimate_batch`], [`Self::reconstruct`])
-    /// never trigger the construction. Check with
+    /// Built lazily on the first call and cached; the estimation path
+    /// ([`Self::reconstruct`]) never triggers the construction. Check with
     /// [`Self::dense_transition_built`].
     #[must_use]
     pub fn transition(&self) -> &Matrix {
@@ -122,30 +122,6 @@ impl SwPipeline {
         &self.operator
     }
 
-    /// Client side: perturbs one private value.
-    pub fn randomize<R: Rng + ?Sized>(&self, v: f64, rng: &mut R) -> Result<f64, SwError> {
-        self.wave.randomize(v, rng)
-    }
-
-    /// Output bucket index of a perturbed report.
-    #[must_use]
-    pub fn report_bucket(&self, v_tilde: f64) -> usize {
-        let lo = self.wave.output_lo();
-        let span = self.wave.output_hi() - lo;
-        let pos = ((v_tilde - lo) / span * self.d_tilde as f64) as isize;
-        pos.clamp(0, self.d_tilde as isize - 1) as usize
-    }
-
-    /// Server side: histograms perturbed reports into `d̃` buckets.
-    #[must_use]
-    pub fn aggregate(&self, reports: &[f64]) -> Vec<f64> {
-        let mut counts = vec![0.0; self.d_tilde];
-        for &r in reports {
-            counts[self.report_bucket(r)] += 1.0;
-        }
-        counts
-    }
-
     /// Server side: reconstructs the input distribution from aggregated
     /// counts.
     pub fn reconstruct(
@@ -160,43 +136,31 @@ impl SwPipeline {
         };
         reconstruct(&self.operator, counts, &config)
     }
-
-    /// Full pipeline: randomize every value, aggregate, reconstruct.
-    pub fn estimate<R: Rng + ?Sized>(
-        &self,
-        values: &[f64],
-        method: &Reconstruction,
-        rng: &mut R,
-    ) -> Result<Histogram, SwError> {
-        if values.is_empty() {
-            return Err(SwError::Reconstruction(
-                "need at least one user report".into(),
-            ));
-        }
-        let mut counts = vec![0.0; self.d_tilde];
-        for &v in values {
-            let r = self.wave.randomize(v, rng)?;
-            counts[self.report_bucket(r)] += 1.0;
-        }
-        Ok(self.reconstruct(&counts, method)?.histogram)
-    }
-}
-
-/// Convenience constructor for the Figure 5 wave-shape sweep.
-pub fn pipeline_with_shape(
-    shape: WaveShape,
-    b: f64,
-    eps: f64,
-    d: usize,
-) -> Result<SwPipeline, SwError> {
-    SwPipeline::with_wave(Wave::new(shape, b, eps)?, d, d)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::ShardAggregator;
+    use crate::mechanism::SwMechanism;
+    use crate::wave::WaveShape;
+    use ldp_core::{Client, CoreError, Mechanism};
     use ldp_numeric::dist::{Beta, Sampler};
-    use ldp_numeric::SplitMix64;
+    use ldp_numeric::{Histogram, SplitMix64};
+
+    /// Randomizes `values` on one RNG stream, aggregates the reports and
+    /// reconstructs.
+    fn estimate(
+        mech: &SwMechanism,
+        values: &[f64],
+        rng: &mut SplitMix64,
+    ) -> Result<Histogram, CoreError> {
+        mech.aggregate(&Client::new(mech).randomize_batch(values, rng)?)
+    }
+
+    fn mechanism(pipeline: &SwPipeline, method: Reconstruction) -> SwMechanism {
+        SwMechanism::with_pipeline(pipeline.clone(), method)
+    }
 
     #[test]
     fn construction_validates() {
@@ -210,15 +174,17 @@ mod tests {
         let p = SwPipeline::new(1.0, 16).unwrap();
         let lo = p.wave().output_lo();
         let hi = p.wave().output_hi();
-        assert_eq!(p.report_bucket(lo), 0);
-        assert_eq!(p.report_bucket(hi), 15);
-        assert_eq!(p.report_bucket(lo - 1.0), 0);
-        assert_eq!(p.report_bucket(hi + 1.0), 15);
+        let bucket = |v: f64| {
+            let mut agg = ShardAggregator::for_pipeline(&p);
+            agg.push(v).unwrap();
+            agg.counts().iter().position(|&c| c == 1).unwrap()
+        };
+        assert_eq!(bucket(lo), 0);
+        assert_eq!(bucket(hi), 15);
         // Monotone.
         let mut last = 0;
         for k in 0..=100 {
-            let v = lo + (hi - lo) * k as f64 / 100.0;
-            let b = p.report_bucket(v);
+            let b = bucket(lo + (hi - lo) * k as f64 / 100.0);
             assert!(b >= last);
             last = b;
         }
@@ -232,9 +198,8 @@ mod tests {
         let beta = Beta::new(5.0, 2.0).unwrap();
         let values = beta.sample_n(&mut rng, 100_000);
         let truth = Histogram::from_samples(&values, d).unwrap();
-        let est = pipeline
-            .estimate(&values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
+        let mech = mechanism(&pipeline, Reconstruction::Ems);
+        let est = estimate(&mech, &values, &mut rng).unwrap();
         // Wasserstein distance between CDFs should be small.
         let mut w1 = 0.0;
         let (tc, ec) = (truth.cdf(), est.cdf());
@@ -260,7 +225,7 @@ mod tests {
         let mut rng = SplitMix64::new(132);
         let values: Vec<f64> = (0..20_000).map(|i| (i % 1000) as f64 / 1000.0).collect();
         for method in [Reconstruction::Em, Reconstruction::Ems] {
-            let h = pipeline.estimate(&values, &method, &mut rng).unwrap();
+            let h = estimate(&mechanism(&pipeline, method), &values, &mut rng).unwrap();
             assert_eq!(h.len(), 32);
             assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
@@ -285,12 +250,9 @@ mod tests {
     fn estimate_rejects_empty_and_bad_values() {
         let pipeline = SwPipeline::new(1.0, 16).unwrap();
         let mut rng = SplitMix64::new(133);
-        assert!(pipeline
-            .estimate(&[], &Reconstruction::Ems, &mut rng)
-            .is_err());
-        assert!(pipeline
-            .estimate(&[2.0], &Reconstruction::Ems, &mut rng)
-            .is_err());
+        let mech = mechanism(&pipeline, Reconstruction::Ems);
+        assert!(estimate(&mech, &[], &mut rng).is_err());
+        assert!(estimate(&mech, &[2.0], &mut rng).is_err());
     }
 
     #[test]
@@ -301,25 +263,19 @@ mod tests {
         assert_eq!(pipeline.output_buckets(), 24);
         let mut rng = SplitMix64::new(134);
         let values: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64 / 100.0).collect();
-        let h = pipeline
-            .estimate(&values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
+        let mech = mechanism(&pipeline, Reconstruction::Ems);
+        let h = estimate(&mech, &values, &mut rng).unwrap();
         assert_eq!(h.len(), 16);
     }
 
     #[test]
     fn estimation_paths_never_build_the_dense_matrix() {
-        let pipeline = SwPipeline::new(1.0, 32).unwrap();
+        let mech = SwMechanism::ems(1.0, 32).unwrap();
+        let pipeline = mech.pipeline();
         assert!(!pipeline.dense_transition_built());
         let mut rng = SplitMix64::new(900);
         let values: Vec<f64> = (0..5_000).map(|i| (i % 100) as f64 / 100.0).collect();
-        pipeline
-            .estimate(&values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
-        assert!(!pipeline.dense_transition_built());
-        pipeline
-            .estimate_batch(&values, &Reconstruction::Ems, 3, 5)
-            .unwrap();
+        estimate(&mech, &values, &mut rng).unwrap();
         assert!(!pipeline.dense_transition_built());
         pipeline
             .reconstruct(&vec![10.0; 32], &Reconstruction::Em)
@@ -344,13 +300,14 @@ mod tests {
     }
 
     #[test]
-    fn shape_helper_builds_all_shapes() {
+    fn pipeline_builds_for_every_wave_shape() {
         for shape in [
             WaveShape::Square,
             WaveShape::Trapezoid { ratio: 0.6 },
             WaveShape::Triangle,
         ] {
-            assert!(pipeline_with_shape(shape, 0.2, 1.0, 16).is_ok());
+            let wave = Wave::new(shape, 0.2, 1.0).unwrap();
+            assert!(SwPipeline::with_wave(wave, 16, 16).is_ok());
         }
     }
 }

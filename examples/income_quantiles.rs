@@ -33,15 +33,21 @@ fn main() {
 
     // --- SW + EMS ---------------------------------------------------------
     let mut rng = SplitMix64::new(3);
-    let pipeline = SwPipeline::new(epsilon, d).expect("valid parameters");
-    let sw_est = pipeline
-        .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
+    let mechanism = SwMechanism::ems(epsilon, d).expect("valid parameters");
+    let reports = Client::new(&mechanism)
+        .randomize_batch(&dataset.values, &mut rng)
+        .expect("values in [0, 1]");
+    let sw_est = mechanism
+        .aggregate(&reports)
         .expect("reconstruction succeeds");
 
     // --- HH-ADMM ----------------------------------------------------------
     let hh = HierarchicalHistogram::new(4, d, epsilon).expect("1024 = 4^5");
     let buckets = dataset.bucket_values(d);
-    let raw = hh.collect(&buckets, &mut rng).expect("collection succeeds");
+    let reports = Client::new(&hh)
+        .randomize_batch(&buckets, &mut rng)
+        .expect("buckets in domain");
+    let raw = hh.aggregate(&reports).expect("collection succeeds");
     let admm_est =
         hh_admm_histogram(hh.shape(), &raw, AdmmConfig::default()).expect("ADMM converges");
 

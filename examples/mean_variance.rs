@@ -11,7 +11,23 @@
 //! cargo run --release --example mean_variance
 //! ```
 
+use sw_ldp::mean::{from_signed, to_signed};
 use sw_ldp::prelude::*;
+
+/// Full-budget mean: every user reports its value through `mechanism`.
+fn full_population_mean<M>(mechanism: &M, values: &[f64], rng: &mut SplitMix64) -> f64
+where
+    M: Mechanism<Input = f64, Output = f64>,
+{
+    let signed: Vec<f64> = values.iter().map(|&v| to_signed(v)).collect();
+    let reports = Client::new(mechanism)
+        .randomize_batch(&signed, rng)
+        .expect("values in [0, 1]");
+    let mean = mechanism
+        .aggregate(&reports)
+        .expect("mean estimation succeeds");
+    from_signed(mean.clamp(-1.0, 1.0))
+}
 
 fn main() {
     let epsilon = 1.0;
@@ -41,9 +57,16 @@ fn main() {
     let mut rng = SplitMix64::new(29);
     for (name, mech) in [("SR", MeanMechanism::Sr), ("PM", MeanMechanism::Pm)] {
         let proto = MeanVariance::new(mech, epsilon).expect("valid epsilon");
-        let mean = proto
-            .estimate_mean(&dataset.values, &mut rng)
-            .expect("mean estimation succeeds");
+        let mean = match mech {
+            MeanMechanism::Sr => {
+                let sr = Sr::new(epsilon).expect("valid epsilon");
+                full_population_mean(&sr, &dataset.values, &mut rng)
+            }
+            MeanMechanism::Pm => {
+                let pm = Pm::new(epsilon).expect("valid epsilon");
+                full_population_mean(&pm, &dataset.values, &mut rng)
+            }
+        };
         let mv = proto
             .estimate(&dataset.values, &mut rng)
             .expect("variance estimation succeeds");
@@ -56,9 +79,12 @@ fn main() {
         );
     }
 
-    let pipeline = SwPipeline::new(epsilon, d).expect("valid parameters");
-    let est = pipeline
-        .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
+    let mechanism = SwMechanism::ems(epsilon, d).expect("valid parameters");
+    let reports = Client::new(&mechanism)
+        .randomize_batch(&dataset.values, &mut rng)
+        .expect("values in [0, 1]");
+    let est = mechanism
+        .aggregate(&reports)
         .expect("reconstruction succeeds");
     println!(
         "{:<8} {:>10.5} {:>10.5} {:>12.5} {:>12.5}",

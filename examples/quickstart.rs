@@ -90,12 +90,19 @@ fn main() {
     );
 
     // --- Low-level escape hatch ------------------------------------------
-    // The raw pipeline remains available when you need custom waves,
-    // d̃ ≠ d, or direct control over the reconstruction:
+    // A hand-built pipeline (custom wave, d̃ ≠ d) plugs into the same API
+    // through `SwMechanism::with_pipeline`, and `SwPipeline::reconstruct`
+    // gives direct control over the reconstruction of any aggregator's
+    // report histogram:
     let pipeline = SwPipeline::new(epsilon, d).expect("valid parameters");
-    let counts = pipeline.aggregate(&reports);
-    let low_level = pipeline
-        .reconstruct(&counts, &Reconstruction::Ems)
+    let custom = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
+    let mut aggregator = Aggregator::new(&custom);
+    aggregator
+        .push_slice(&reports)
+        .expect("reports are in range");
+    let low_level = custom
+        .pipeline()
+        .reconstruct(&aggregator.state().to_counts(), &Reconstruction::Ems)
         .expect("reconstruction succeeds");
     println!(
         "low-level SwPipeline path agrees: {}",

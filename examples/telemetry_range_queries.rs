@@ -32,22 +32,32 @@ fn main() {
     let mut rng = SplitMix64::new(17);
 
     // SW + EMS gives a full valid distribution.
-    let pipeline = SwPipeline::new(epsilon, d).expect("valid parameters");
-    let sw = pipeline
-        .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
+    let mechanism = SwMechanism::ems(epsilon, d).expect("valid parameters");
+    let reports = Client::new(&mechanism)
+        .randomize_batch(&dataset.values, &mut rng)
+        .expect("values in [0, 1]");
+    let sw = mechanism
+        .aggregate(&reports)
         .expect("reconstruction succeeds");
 
     // HH and HaarHRR produce (possibly negative) leaf estimates designed
-    // specifically for range queries.
+    // specifically for range queries; HH makes its tree consistent first.
     let buckets = dataset.bucket_values(d);
     let hh = HierarchicalHistogram::new(4, d, epsilon).expect("1024 = 4^5");
+    let reports = Client::new(&hh)
+        .randomize_batch(&buckets, &mut rng)
+        .expect("buckets in domain");
+    let raw = hh.aggregate(&reports).expect("collection succeeds");
     let hh_leaves = hh
-        .estimate_leaves(&buckets, &mut rng)
-        .expect("collection succeeds");
+        .make_consistent(&raw)
+        .expect("consistent tree")
+        .leaves()
+        .to_vec();
     let haar = HaarHrr::new(d, epsilon).expect("1024 = 2^10");
-    let haar_leaves = haar
-        .estimate_leaves(&buckets, &mut rng)
-        .expect("collection succeeds");
+    let reports = Client::new(&haar)
+        .randomize_batch(&buckets, &mut rng)
+        .expect("buckets in domain");
+    let haar_leaves = haar.aggregate(&reports).expect("collection succeeds");
 
     // Business queries: "fraction of pickups in [t1, t2)".
     let queries: [(&str, f64, f64); 4] = [

@@ -34,14 +34,18 @@ fn main() {
     for (name, shape) in shapes {
         let wave = Wave::new(shape, b, epsilon).expect("valid wave");
         let pipeline = SwPipeline::with_wave(wave, d, d).expect("valid pipeline");
+        let mechanism = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
         let mut rng = SplitMix64::new(37);
-        let est = pipeline
-            .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
+        let reports = Client::new(&mechanism)
+            .randomize_batch(&dataset.values, &mut rng)
+            .expect("values in [0, 1]");
+        let est = mechanism
+            .aggregate(&reports)
             .expect("reconstruction succeeds");
         println!(
             "  {name:<16} W1 = {:.5}  (q = {:.4})",
             wasserstein(&truth, &est).unwrap(),
-            pipeline.wave().q()
+            mechanism.pipeline().wave().q()
         );
     }
 
@@ -50,9 +54,13 @@ fn main() {
     for bb in [0.05, 0.15, b, 0.35, 0.45] {
         let wave = Wave::square(bb, epsilon).expect("valid wave");
         let pipeline = SwPipeline::with_wave(wave, d, d).expect("valid pipeline");
+        let mechanism = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
         let mut rng = SplitMix64::new(41);
-        let est = pipeline
-            .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
+        let reports = Client::new(&mechanism)
+            .randomize_batch(&dataset.values, &mut rng)
+            .expect("values in [0, 1]");
+        let est = mechanism
+            .aggregate(&reports)
             .expect("reconstruction succeeds");
         let marker = if (bb - b).abs() < 1e-9 {
             "  <-- b*"

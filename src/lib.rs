@@ -19,14 +19,20 @@
 //!
 //! // ε = 1, reconstruct a 64-bucket histogram with the paper's defaults
 //! // (square wave, MI-optimal bandwidth, EMS).
-//! let pipeline = SwPipeline::new(1.0, 64).unwrap();
+//! let mechanism = SwMechanism::ems(1.0, 64).unwrap();
 //! let mut rng = SplitMix64::new(42);
-//! let estimate = pipeline.estimate(&values, &Reconstruction::Ems, &mut rng).unwrap();
+//! let reports = Client::new(&mechanism).randomize_batch(&values, &mut rng).unwrap();
+//! let estimate = mechanism.aggregate(&reports).unwrap();
 //! assert!((estimate.mean() - 0.5).abs() < 0.05);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+// Compiles and runs the README's Rust blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 pub use ldp_cfo as cfo;
 pub use ldp_collector as collector;
@@ -42,7 +48,7 @@ pub use ldp_sw as sw;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
-    pub use ldp_cfo::{BinningEstimator, FrequencyOracle, Grr, Hrr, Olh, Oue};
+    pub use ldp_cfo::{BinningEstimator, Grr, Hrr, Olh, Oue};
     pub use ldp_core::{Aggregator, Client, CoreError, Domain, Epsilon, Mechanism, WireReport};
     pub use ldp_datasets::{Dataset, DatasetKind, DatasetSpec};
     pub use ldp_experiments::{ExperimentConfig, Method, MethodRunner};

@@ -3,7 +3,17 @@
 //! scale.
 
 use sw_ldp::hierarchy::range::range_query_tree;
+use sw_ldp::mean::{from_signed, to_signed};
 use sw_ldp::prelude::*;
+
+/// Randomizes `inputs` on one RNG stream, then aggregates the reports.
+fn run<M: Mechanism>(mechanism: &M, inputs: &[M::Input], rng: &mut SplitMix64) -> M::Output
+where
+    M::Input: Sized,
+{
+    let reports = Client::new(mechanism).randomize_batch(inputs, rng).unwrap();
+    mechanism.aggregate(&reports).unwrap()
+}
 
 fn beta_workload(n: usize) -> (Dataset, Histogram) {
     let ds = DatasetSpec {
@@ -19,11 +29,9 @@ fn beta_workload(n: usize) -> (Dataset, Histogram) {
 #[test]
 fn sw_ems_full_pipeline_recovers_beta() {
     let (ds, truth) = beta_workload(60_000);
-    let pipeline = SwPipeline::new(1.0, 256).unwrap();
+    let mechanism = SwMechanism::ems(1.0, 256).unwrap();
     let mut rng = SplitMix64::new(1);
-    let est = pipeline
-        .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let est = run(&mechanism, &ds.values, &mut rng);
     let w1 = wasserstein(&truth, &est).unwrap();
     assert!(w1 < 0.02, "W1 = {w1}");
     assert!((est.mean() - truth.mean()).abs() < 0.02);
@@ -34,18 +42,13 @@ fn sw_ems_beats_cfo_binning_on_wasserstein() {
     // The paper's headline Figure 2 claim, at eps = 1 on Beta(5,2).
     let (ds, truth) = beta_workload(60_000);
     let mut rng = SplitMix64::new(2);
-    let pipeline = SwPipeline::new(1.0, 256).unwrap();
-    let sw = pipeline
-        .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let sw = run(&SwMechanism::ems(1.0, 256).unwrap(), &ds.values, &mut rng);
     let w1_sw = wasserstein(&truth, &sw).unwrap();
 
     let mut worst_ratio: f64 = 0.0;
     for bins in [16, 32, 64] {
-        let est = BinningEstimator::new(bins, 256, 1.0)
-            .unwrap()
-            .estimate(&ds.values, &mut rng)
-            .unwrap();
+        let binning = BinningEstimator::new(bins, 256, 1.0).unwrap();
+        let est = run(&binning, &ds.values, &mut rng);
         let w1_bin = wasserstein(&truth, &est).unwrap();
         worst_ratio = worst_ratio.max(w1_sw / w1_bin);
         assert!(
@@ -64,18 +67,15 @@ fn sw_ems_beats_sw_em_on_smooth_data_on_average() {
     // stable", so the claim to verify is about the average, not every
     // single trial.
     let (ds, truth) = beta_workload(60_000);
-    let pipeline = SwPipeline::new(1.0, 256).unwrap();
+    let ems_mechanism = SwMechanism::ems(1.0, 256).unwrap();
+    let em_mechanism = SwMechanism::em(1.0, 256).unwrap();
     let mut w1_ems = 0.0;
     let mut w1_em = 0.0;
     let trials = 5;
     for seed in 0..trials {
         let mut rng = SplitMix64::new(300 + seed);
-        let ems = pipeline
-            .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
-        let em = pipeline
-            .estimate(&ds.values, &Reconstruction::Em, &mut rng)
-            .unwrap();
+        let ems = run(&ems_mechanism, &ds.values, &mut rng);
+        let em = run(&em_mechanism, &ds.values, &mut rng);
         w1_ems += wasserstein(&truth, &ems).unwrap();
         w1_em += wasserstein(&truth, &em).unwrap();
     }
@@ -100,7 +100,7 @@ fn hh_admm_beats_plain_hh_on_range_queries() {
     let buckets = ds.bucket_values(d);
     let hh = HierarchicalHistogram::new(4, d, 0.5).unwrap();
     let mut rng = SplitMix64::new(4);
-    let raw = hh.collect(&buckets, &mut rng).unwrap();
+    let raw = run(&hh, &buckets, &mut rng);
     let plain_leaves = hh.make_consistent(&raw).unwrap().leaves().to_vec();
     let admm = hh_admm_histogram(hh.shape(), &raw, AdmmConfig::default()).unwrap();
 
@@ -128,7 +128,7 @@ fn consistent_hierarchy_answers_range_queries_from_any_level() {
     let buckets = ds.bucket_values(d);
     let hh = HierarchicalHistogram::new(4, d, 2.0).unwrap();
     let mut rng = SplitMix64::new(6);
-    let raw = hh.collect(&buckets, &mut rng).unwrap();
+    let raw = run(&hh, &buckets, &mut rng);
     let tree = hh.make_consistent(&raw).unwrap();
     // Decomposed tree answers equal plain leaf sums.
     for (lo, hi) in [(0usize, 64usize), (5, 20), (17, 18), (32, 64)] {
@@ -147,10 +147,7 @@ fn discrete_and_continuous_sw_agree() {
     let eps = 1.0;
     let mut rng = SplitMix64::new(7);
 
-    let cont = SwPipeline::new(eps, d)
-        .unwrap()
-        .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let cont = run(&SwMechanism::ems(eps, d).unwrap(), &ds.values, &mut rng);
 
     let dsw = DiscreteSw::new(d, eps).unwrap();
     let reports: Vec<usize> = ds
@@ -182,12 +179,15 @@ fn scalar_protocols_match_distribution_estimates() {
     .generate();
     let truth = ds.histogram(1024).unwrap();
     let mut rng = SplitMix64::new(8);
-    for mech in [MeanMechanism::Sr, MeanMechanism::Pm] {
-        let proto = MeanVariance::new(mech, 2.0).unwrap();
-        let mean = proto.estimate_mean(&ds.values, &mut rng).unwrap();
+    // SR and PM spend the full budget on the mean: every user reports.
+    let signed: Vec<f64> = ds.values.iter().map(|&v| to_signed(v)).collect();
+    let sr = run(&Sr::new(2.0).unwrap(), &signed, &mut rng);
+    let pm = run(&Pm::new(2.0).unwrap(), &signed, &mut rng);
+    for (name, mean_signed) in [("SR", sr), ("PM", pm)] {
+        let mean = from_signed(mean_signed.clamp(-1.0, 1.0));
         assert!(
             (mean - truth.mean()).abs() < 0.02,
-            "{mech:?} mean {mean} vs {}",
+            "{name} mean {mean} vs {}",
             truth.mean()
         );
     }

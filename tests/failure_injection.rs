@@ -6,6 +6,15 @@
 use sw_ldp::prelude::*;
 use sw_ldp::sw::reconstruct;
 
+/// Randomizes `inputs` on one RNG stream, then aggregates the reports.
+fn run<M: Mechanism>(mechanism: &M, inputs: &[M::Input], rng: &mut SplitMix64) -> M::Output
+where
+    M::Input: Sized,
+{
+    let reports = Client::new(mechanism).randomize_batch(inputs, rng).unwrap();
+    mechanism.aggregate(&reports).unwrap()
+}
+
 #[test]
 fn em_handles_all_reports_in_one_bucket() {
     // All mass in a single output bucket: EM must converge to a valid
@@ -38,14 +47,11 @@ fn tiny_populations_still_produce_valid_distributions() {
     // Two users is the bare minimum for every method that needs one report.
     let values = [0.2, 0.8];
     let mut rng = SplitMix64::new(6001);
-    let pipeline = SwPipeline::new(1.0, 16).unwrap();
-    let h = pipeline
-        .estimate(&values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let h = run(&SwMechanism::ems(1.0, 16).unwrap(), &values, &mut rng);
     assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
 
     let est = BinningEstimator::new(4, 16, 1.0).unwrap();
-    let h = est.estimate(&values, &mut rng).unwrap();
+    let h = run(&est, &values, &mut rng);
     assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
 }
 
@@ -55,7 +61,7 @@ fn hh_with_fewer_users_than_levels_fills_empty_levels_uniformly() {
     // still succeed and produce a consistent tree.
     let hh = HierarchicalHistogram::new(4, 256, 1.0).unwrap();
     let mut rng = SplitMix64::new(6002);
-    let raw = hh.collect(&[3, 200], &mut rng).unwrap();
+    let raw = run(&hh, &[3, 200], &mut rng);
     let consistent = hh.make_consistent(&raw).unwrap();
     assert!(consistent.consistency_gap(hh.shape()) < 1e-9);
     let sum: f64 = consistent.leaves().iter().sum();
@@ -66,7 +72,7 @@ fn hh_with_fewer_users_than_levels_fills_empty_levels_uniformly() {
 fn haarhrr_with_one_user_per_level_is_stable() {
     let est = HaarHrr::new(16, 1.0).unwrap();
     let mut rng = SplitMix64::new(6003);
-    let leaves = est.estimate_leaves(&[5, 6, 7, 8], &mut rng).unwrap();
+    let leaves = run(&est, &[5, 6, 7, 8], &mut rng);
     assert_eq!(leaves.len(), 16);
     assert!(leaves.iter().all(|l| l.is_finite()));
     // Leaves always sum to the public total.
@@ -77,21 +83,17 @@ fn haarhrr_with_one_user_per_level_is_stable() {
 fn extreme_epsilons_do_not_break_mechanisms() {
     let mut rng = SplitMix64::new(6004);
     // Very small epsilon: mechanisms become nearly uniform but stay valid.
-    let tiny = SwPipeline::new(1e-4, 16).unwrap();
-    assert!(tiny.wave().b() > 0.49, "b should approach 1/2");
+    let tiny = SwMechanism::ems(1e-4, 16).unwrap();
+    assert!(tiny.pipeline().wave().b() > 0.49, "b should approach 1/2");
     let values: Vec<f64> = (0..2000).map(|i| (i % 100) as f64 / 100.0).collect();
-    let h = tiny
-        .estimate(&values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let h = run(&tiny, &values, &mut rng);
     assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
 
     // Very large epsilon: b approaches 0 and recovery is near-exact.
-    let large = SwPipeline::new(12.0, 16).unwrap();
-    assert!(large.wave().b() < 0.01);
+    let large = SwMechanism::ems(12.0, 16).unwrap();
+    assert!(large.pipeline().wave().b() < 0.01);
     let concentrated = vec![0.55; 5000];
-    let h = large
-        .estimate(&concentrated, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let h = run(&large, &concentrated, &mut rng);
     assert!(h.range_mass(0.4, 0.7) > 0.95);
 }
 
@@ -121,9 +123,8 @@ fn pipeline_with_asymmetric_bucket_counts() {
     let mut rng = SplitMix64::new(6006);
     for (d, d_tilde) in [(32usize, 16usize), (16, 48)] {
         let pipeline = SwPipeline::with_wave(wave, d, d_tilde).unwrap();
-        let h = pipeline
-            .estimate(&values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
+        let mechanism = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
+        let h = run(&mechanism, &values, &mut rng);
         assert_eq!(h.len(), d);
         assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -162,9 +163,9 @@ fn wave_with_very_wide_bandwidth_is_valid() {
 fn out_of_domain_bucket_values_are_rejected_by_hierarchy_methods() {
     let hh = HierarchicalHistogram::new(4, 64, 1.0).unwrap();
     let mut rng = SplitMix64::new(6009);
-    assert!(hh.collect(&[64], &mut rng).is_err());
+    assert!(Client::new(&hh).randomize(&64, &mut rng).is_err());
     let haar = HaarHrr::new(64, 1.0).unwrap();
-    assert!(haar.estimate_leaves(&[64], &mut rng).is_err());
+    assert!(Client::new(&haar).randomize(&64, &mut rng).is_err());
 }
 
 #[test]
