@@ -17,7 +17,7 @@ use ldp_core::params::fingerprint_fields;
 use ldp_core::snapshot::{
     expect_tag, next_line, parse_fields, parse_snapshot_field, SnapshotState,
 };
-use ldp_core::wire::parse_field;
+use ldp_core::wire::{parse_field, Fields};
 use ldp_core::{CoreError, Epsilon, Mechanism, WireReport};
 use ldp_numeric::histogram::bucket_of;
 use ldp_numeric::Histogram;
@@ -369,7 +369,7 @@ impl Mechanism for Hrr {
     }
 
     fn absorb(&self, state: &mut SpectrumState, report: &HrrReport) -> Result<(), CoreError> {
-        if report.row as usize >= self.padded_size() || report.bit.abs() != 1 {
+        if report.row as usize >= self.padded_size() || !matches!(report.bit, 1 | -1) {
             return Err(CoreError::InvalidReport(format!(
                 "HRR report (row {}, bit {}) invalid for padded domain {}",
                 report.row,
@@ -726,7 +726,7 @@ impl WireReport for OlhReport {
         let _ = write!(out, "{} {}", self.seed, self.y);
     }
 
-    fn decode(line: &str) -> Result<Self, CoreError> {
+    fn decode_text(line: &str) -> Result<Self, CoreError> {
         let mut it = line.split_whitespace();
         let seed = parse_field(it.next().unwrap_or(""), "OLH seed")?;
         let y = parse_field(it.next().unwrap_or(""), "OLH value")?;
@@ -735,6 +735,15 @@ impl WireReport for OlhReport {
         }
         Ok(OlhReport { seed, y })
     }
+
+    fn decode_canonical(line: &[u8]) -> Option<Self> {
+        let mut fields = Fields::new(line);
+        let report = OlhReport {
+            seed: fields.decimal()?,
+            y: fields.decimal()?,
+        };
+        fields.is_done().then_some(report)
+    }
 }
 
 impl WireReport for HrrReport {
@@ -742,17 +751,28 @@ impl WireReport for HrrReport {
         let _ = write!(out, "{} {}", self.row, self.bit);
     }
 
-    fn decode(line: &str) -> Result<Self, CoreError> {
+    fn decode_text(line: &str) -> Result<Self, CoreError> {
         let mut it = line.split_whitespace();
         let row = parse_field(it.next().unwrap_or(""), "HRR row")?;
         let bit: i8 = parse_field(it.next().unwrap_or(""), "HRR bit")?;
         if it.next().is_some() {
             return Err(CoreError::Wire(format!("trailing fields in {line:?}")));
         }
-        if bit.abs() != 1 {
+        if !matches!(bit, 1 | -1) {
             return Err(CoreError::Wire(format!("HRR bit must be ±1, got {bit}")));
         }
         Ok(HrrReport { row, bit })
+    }
+
+    fn decode_canonical(line: &[u8]) -> Option<Self> {
+        let mut fields = Fields::new(line);
+        let row = fields.decimal()?;
+        let bit = match fields.next()? {
+            b"1" => 1,
+            b"-1" => -1,
+            _ => return None,
+        };
+        fields.is_done().then_some(HrrReport { row, bit })
     }
 }
 
@@ -764,7 +784,7 @@ impl WireReport for OueReport {
         }
     }
 
-    fn decode(line: &str) -> Result<Self, CoreError> {
+    fn decode_text(line: &str) -> Result<Self, CoreError> {
         let mut it = line.split_whitespace();
         let len: usize = parse_field(it.next().unwrap_or(""), "OUE length")?;
         // Sized by the words actually present on the line, never by the
@@ -778,6 +798,23 @@ impl WireReport for OueReport {
             bits.push(w);
         }
         OueReport::from_words(bits, len).map_err(|e| CoreError::Wire(e.to_string()))
+    }
+
+    fn decode_canonical(line: &[u8]) -> Option<Self> {
+        let mut fields = Fields::new(line);
+        let len: usize = fields.decimal()?;
+        // Sized once from the length field, capped by the words the line
+        // can hold (each takes at least two bytes), so a tampered length
+        // cannot force a large allocation.
+        let words = len.div_ceil(64);
+        let mut bits = Vec::with_capacity(words.min(line.len() / 2));
+        for _ in 0..words {
+            bits.push(fields.hex()?);
+        }
+        if !fields.is_done() {
+            return None;
+        }
+        OueReport::from_words(bits, len).ok()
     }
 }
 
@@ -794,7 +831,7 @@ impl WireReport for AdaptiveReport {
         }
     }
 
-    fn decode(line: &str) -> Result<Self, CoreError> {
+    fn decode_text(line: &str) -> Result<Self, CoreError> {
         let (kind, rest) = line
             .split_once(' ')
             .ok_or_else(|| CoreError::Wire(format!("adaptive report needs a tag: {line:?}")))?;
@@ -802,6 +839,15 @@ impl WireReport for AdaptiveReport {
             "g" => Ok(AdaptiveReport::Grr(parse_field(rest.trim(), "GRR value")?)),
             "o" => Ok(AdaptiveReport::Olh(OlhReport::decode(rest)?)),
             other => Err(CoreError::Wire(format!("unknown adaptive tag {other:?}"))),
+        }
+    }
+
+    fn decode_canonical(line: &[u8]) -> Option<Self> {
+        let mut fields = Fields::new(line);
+        match fields.next()? {
+            b"g" => usize::decode_canonical(fields.rest()?).map(AdaptiveReport::Grr),
+            b"o" => OlhReport::decode_canonical(fields.rest()?).map(AdaptiveReport::Olh),
+            _ => None,
         }
     }
 }
@@ -831,6 +877,8 @@ mod tests {
         let hrr = Hrr::new(8, 1.0).unwrap();
         let mut st = hrr.empty_state();
         assert!(hrr.absorb(&mut st, &HrrReport { row: 0, bit: 2 }).is_err());
+        let min_bit = HrrReport { row: 0, bit: -128 };
+        assert!(hrr.absorb(&mut st, &min_bit).is_err());
         assert!(hrr.absorb(&mut st, &HrrReport { row: 99, bit: 1 }).is_err());
 
         let oue = Oue::new(8, 1.0).unwrap();

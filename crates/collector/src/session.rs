@@ -169,22 +169,44 @@ where
     M::State: Send + 'static,
 {
     fn prepare(&self, text: &str) -> Result<PreparedBatch, CollectorError> {
-        // Decode the whole frame first, then absorb through the bulk
-        // `absorb_slice` path so every family's vectorized kernel (OUE
-        // bit-count, HRR scatter, ExactSum bulk add, SW bucket pass)
-        // carries the serve path too. Bit-identical to per-line absorbs.
-        let mut reports = Vec::new();
-        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-            reports.push(M::Report::decode(line)?);
-        }
-        let mut state = self.mechanism.empty_state();
-        self.mechanism.absorb_slice(&mut state, &reports)?;
+        let (state, reports) = decode_and_absorb(&self.mechanism, report_lines(text))?;
         Ok(PreparedBatch {
             payload: Box::new(state),
             fingerprint: self.mechanism.fingerprint(),
-            reports: reports.len() as u64,
+            reports,
         })
     }
+}
+
+/// The non-blank lines of `text`, trimmed.
+fn report_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().map(str::trim).filter(|l| !l.is_empty())
+}
+
+/// Decodes `lines` and absorbs the reports into a fresh state, returning
+/// it with the report count: the per-frame job of [`BatchDecoder::prepare`]
+/// and the per-shard job of [`CollectorSession::ingest_text`]. Decoding
+/// the whole block first lets the bulk `absorb_slice` path run every
+/// family's vectorized kernel (OUE bit-count, HRR scatter, ExactSum bulk
+/// add, SW bucket pass); it is bit-identical to per-line absorbs.
+fn decode_and_absorb<'a, M>(
+    mechanism: &M,
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<(M::State, u64), CollectorError>
+where
+    M: Mechanism,
+    M::Report: WireReport,
+{
+    // Sized up front when the line count is known (a slice of lines).
+    // Counting a frame's lines first, or collecting them, measured slower
+    // than letting the vector grow.
+    let mut reports = Vec::with_capacity(lines.size_hint().0);
+    for line in lines {
+        reports.push(M::Report::decode(line)?);
+    }
+    let mut state = mechanism.empty_state();
+    mechanism.absorb_slice(&mut state, &reports)?;
+    Ok((state, reports.len() as u64))
 }
 
 impl<M> Session<M>
@@ -211,23 +233,6 @@ where
             to_input,
             render,
         }
-    }
-
-    /// Decodes a block of lines into reports (no state change).
-    fn decode_block(&self, lines: &[&str]) -> Result<Vec<M::Report>, CollectorError> {
-        let mut reports = Vec::with_capacity(lines.len());
-        for line in lines {
-            reports.push(M::Report::decode(line)?);
-        }
-        Ok(reports)
-    }
-
-    /// Decode + absorb a block into a fresh state (the per-shard job).
-    fn absorb_block(&self, lines: &[&str]) -> Result<(M::State, u64), CollectorError> {
-        let reports = self.decode_block(lines)?;
-        let mut state = self.mechanism.empty_state();
-        self.mechanism.absorb_slice(&mut state, &reports)?;
-        Ok((state, reports.len() as u64))
     }
 }
 
@@ -258,11 +263,7 @@ where
     }
 
     fn ingest_text(&mut self, text: &str) -> Result<u64, CollectorError> {
-        let lines: Vec<&str> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .collect();
+        let lines: Vec<&str> = report_lines(text).collect();
         if lines.is_empty() {
             return Ok(0);
         }
@@ -271,7 +272,8 @@ where
         if shards <= 1 {
             // Sequential path with an explicit checkpoint for the
             // all-or-nothing contract (state is O(d̃), cheap to clone).
-            let (shard_state, absorbed) = self.absorb_block(&lines)?;
+            let (shard_state, absorbed) =
+                decode_and_absorb(&self.mechanism, lines.iter().copied())?;
             self.mechanism.merge_state(&mut self.state, &shard_state)?;
             self.count += absorbed;
             return Ok(absorbed);
@@ -283,7 +285,9 @@ where
         let chunk = lines.len().div_ceil(shards);
         let chunks: Vec<&[&str]> = lines.chunks(chunk).collect();
         let results = ldp_pool::global()
-            .run(chunks.len(), |i| self.absorb_block(chunks[i]))
+            .run(chunks.len(), |i| {
+                decode_and_absorb(&self.mechanism, chunks[i].iter().copied())
+            })
             .map_err(|e| CollectorError::Io(format!("worker pool failure: {e}")))?;
         let mut absorbed = 0;
         let mut shard_states = Vec::with_capacity(results.len());

@@ -20,7 +20,7 @@ use ldp_cfo::select::AdaptiveReport;
 use ldp_cfo::{AdaptiveState, SpectrumState};
 use ldp_core::params::fingerprint_fields;
 use ldp_core::snapshot::{expect_tag, next_line, parse_snapshot_field, SnapshotState};
-use ldp_core::wire::parse_field;
+use ldp_core::wire::{parse_field, Fields};
 use ldp_core::{CoreError, Epsilon, Mechanism, WireReport};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -395,7 +395,7 @@ impl WireReport for HhReport {
         self.report.encode(out);
     }
 
-    fn decode(line: &str) -> Result<Self, CoreError> {
+    fn decode_text(line: &str) -> Result<Self, CoreError> {
         let (level, rest) = line
             .split_once(' ')
             .ok_or_else(|| CoreError::Wire(format!("HH report needs a level: {line:?}")))?;
@@ -403,6 +403,13 @@ impl WireReport for HhReport {
             level: parse_field(level, "HH level")?,
             report: AdaptiveReport::decode(rest)?,
         })
+    }
+
+    fn decode_canonical(line: &[u8]) -> Option<Self> {
+        let mut fields = Fields::new(line);
+        let level = fields.decimal()?;
+        let report = AdaptiveReport::decode_canonical(fields.rest()?)?;
+        Some(HhReport { level, report })
     }
 }
 
@@ -412,7 +419,7 @@ impl WireReport for HaarReport {
         self.report.encode(out);
     }
 
-    fn decode(line: &str) -> Result<Self, CoreError> {
+    fn decode_text(line: &str) -> Result<Self, CoreError> {
         let (level, rest) = line
             .split_once(' ')
             .ok_or_else(|| CoreError::Wire(format!("HaarHRR report needs a level: {line:?}")))?;
@@ -420,6 +427,13 @@ impl WireReport for HaarReport {
             level: parse_field(level, "HaarHRR level")?,
             report: HrrReport::decode(rest)?,
         })
+    }
+
+    fn decode_canonical(line: &[u8]) -> Option<Self> {
+        let mut fields = Fields::new(line);
+        let level = fields.decimal()?;
+        let report = HrrReport::decode_canonical(fields.rest()?)?;
+        Some(HaarReport { level, report })
     }
 }
 

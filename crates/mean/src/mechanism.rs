@@ -334,7 +334,7 @@ impl WireReport for HybridReport {
         }
     }
 
-    fn decode(line: &str) -> Result<Self, CoreError> {
+    fn decode_text(line: &str) -> Result<Self, CoreError> {
         let (kind, rest) = line
             .split_once(' ')
             .ok_or_else(|| CoreError::Wire(format!("hybrid report needs a tag: {line:?}")))?;

@@ -6,7 +6,11 @@
 //! swap-in compatible with the real `serde`); the encoding exercised here
 //! is `ldp-core`'s dependency-free line format.
 
-use sw_ldp::cfo::select::AdaptiveReport;
+use std::fmt::Debug;
+use sw_ldp::cfo::hadamard::HrrReport;
+use sw_ldp::cfo::olh::OlhReport;
+use sw_ldp::cfo::oue::OueReport;
+use sw_ldp::cfo::select::{AdaptiveOracle, AdaptiveReport};
 use sw_ldp::cfo::{Grr, Hrr, Olh, Oue};
 use sw_ldp::core_api::{decode_lines, encode_lines, Client, Mechanism, WireReport};
 use sw_ldp::hierarchy::{HaarHrr, HaarReport, HhReport, HierarchicalHistogram};
@@ -157,6 +161,221 @@ fn malformed_wire_lines_are_rejected() {
     );
     assert!(decode_lines::<AdaptiveReport>("o 12").is_err());
     assert!(decode_lines::<HybridReport>("p one").is_err());
+    // i8::MIN has no absolute value: a bit of -128 is rejected like any
+    // other non-±1 bit, never a negate overflow.
+    assert!(decode_lines::<HrrReport>("0 -128").is_err());
+    assert!(decode_lines::<HaarReport>("1 0 -128").is_err());
+}
+
+/// Lines outside the canonical form `encode` emits take the `str` decoder
+/// and still decode: the byte-level path narrows nothing.
+#[test]
+fn non_canonical_lines_still_decode() {
+    fn same<T: WireReport + PartialEq + Debug>(canonical: &str, variants: &[&str]) {
+        let want = T::decode_canonical(canonical.as_bytes()).expect(canonical);
+        for line in variants {
+            assert_eq!(T::decode_canonical(line.as_bytes()), None, "{line:?}");
+            assert_eq!(T::decode(line).unwrap(), want, "{line:?}");
+        }
+    }
+    same::<usize>("7", &["007", "+7"]);
+    same::<OlhReport>("12 3", &["+12 3", "012 3", "12\t3", "12  3", "12\u{3000}3"]);
+    same::<HrrReport>("5 -1", &["05 -1", "5\t-1", "5 -01", "5  -1"]);
+    same::<HrrReport>("5 1", &["5 +1", "5 01"]);
+    same::<OueReport>(
+        "70 1 3f",
+        &[
+            "70 1 3F",
+            "70 +1 3f",
+            "70 0001 3f",
+            "070 1 3f",
+            "70 00000000000000000001 3f",
+            "70\t1\u{3000}3f",
+            "70 1 3f ",
+        ],
+    );
+    same::<AdaptiveReport>("g 5", &["g  5", "g 05", "g 5 ", "g +5"]);
+    same::<AdaptiveReport>("o 12 3", &["o 12\t3", "o 012 3"]);
+    same::<HhReport>("2 o 12 3", &["02 o 12 3", "+2 o 12 3", "2 o 12  3"]);
+    same::<HaarReport>("3 12 1", &["03 12 1", "3 12 +1", "3 12\t1"]);
+}
+
+/// Encoded report lines from `mechanism` over `inputs`.
+fn encoded_lines<M>(mechanism: &M, inputs: &[M::Input], seed: u64) -> Vec<String>
+where
+    M: Mechanism,
+    M::Input: Sized,
+    M::Report: WireReport,
+{
+    let client = Client::new(mechanism);
+    let mut rng = SplitMix64::new(seed);
+    inputs
+        .iter()
+        .map(|v| {
+            let mut line = String::new();
+            client.randomize(v, &mut rng).unwrap().encode(&mut line);
+            line
+        })
+        .collect()
+}
+
+/// Values that sit on a parse boundary of some field type.
+const EDGE_FIELDS: &[&str] = &[
+    "-128",
+    "128",
+    "-1",
+    "1",
+    "-0",
+    "0",
+    "00",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "18446744073709551616",
+    "ffffffffffffffff",
+    "0ffffffffffffffff",
+    "10000000000000000",
+    "",
+    "1e3",
+    "inf",
+    "NaN",
+    "-0.0",
+];
+
+/// One random edit of `line`: the non-canonical and malformed shapes a
+/// byte-level decoder could get wrong.
+fn mutate(line: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
+    let mut pick = |n: usize| (rng.next() % n.max(1) as u64) as usize;
+    let mut bytes = line.to_vec();
+    let at = pick(bytes.len() + 1);
+    let byte_at = at.min(bytes.len().saturating_sub(1));
+    let mut fields: Vec<Vec<u8>> = line.split(|&b| b == b' ').map(<[u8]>::to_vec).collect();
+    let f = pick(fields.len());
+    match pick(12) {
+        0 if !bytes.is_empty() => bytes[byte_at] ^= 1 << pick(8),
+        1 if !bytes.is_empty() => {
+            bytes.remove(byte_at);
+        }
+        2 => bytes.insert(at, b'\t'),
+        3 => {
+            bytes.splice(at..at, "\u{3000}".bytes());
+        }
+        4 => bytes.insert(at, b'+'),
+        5 => bytes.make_ascii_uppercase(),
+        8 => bytes.truncate(at),
+        11 if !bytes.is_empty() => {
+            let alphabet = b" 09afgAF+-.\t\r";
+            bytes[byte_at] = alphabet[pick(alphabet.len())];
+        }
+        field_edit => {
+            match field_edit {
+                // Leading zeros, then a run wide enough that a hex word
+                // exceeds 16 digits.
+                6 => {
+                    fields[f].splice(0..0, std::iter::repeat_n(b'0', 1 + pick(3)));
+                }
+                7 => {
+                    let pad = 17usize.saturating_sub(fields[f].len()) + pick(3);
+                    fields[f].splice(0..0, std::iter::repeat_n(b'0', pad));
+                }
+                9 => {
+                    let copy = fields[f].clone();
+                    fields.insert(f, copy);
+                }
+                _ => fields[f] = EDGE_FIELDS[pick(EDGE_FIELDS.len())].as_bytes().to_vec(),
+            }
+            bytes = fields.join(&b' ');
+        }
+    }
+    bytes
+}
+
+/// Decodes `bytes` through both layers of `T`'s decoder and pins them to
+/// each other: no panic, the byte-level path only ever returns what the
+/// `str` decoder returns, and `decode` matches `decode_text` in value and
+/// error text.
+fn check_both_paths<T: WireReport + PartialEq + Debug>(label: &str, bytes: &[u8]) {
+    let canonical = T::decode_canonical(bytes);
+    let Ok(line) = std::str::from_utf8(bytes) else {
+        assert_eq!(canonical, None, "{label}: non-UTF-8 {bytes:?}");
+        return;
+    };
+    let text = T::decode_text(line);
+    if let Some(report) = &canonical {
+        assert_eq!(text.as_ref().ok(), Some(report), "{label}: {line:?}");
+    }
+    match (T::decode(line), &text) {
+        // Compared through `Debug`, so a NaN report matches itself.
+        (Ok(a), Ok(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}: {line:?}"),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{label}: {line:?}"),
+        (a, b) => panic!("{label}: {line:?} decoded {a:?} but decode_text gave {b:?}"),
+    }
+}
+
+/// Seeded byte-mutation fuzz of every family's decoder: mutated valid
+/// lines must never panic, and wherever the byte-level path accepts a
+/// line its report equals the `str` decoder's.
+fn differential<T: WireReport + PartialEq + Debug>(label: &str, lines: &[String], canonical: bool) {
+    let mut rng = SplitMix64::new(0x5eed ^ lines.len() as u64);
+    for line in lines {
+        assert_eq!(
+            T::decode_canonical(line.as_bytes()).is_some(),
+            canonical,
+            "{label}: encoded line {line:?}"
+        );
+        check_both_paths::<T>(label, line.as_bytes());
+        for _ in 0..96 {
+            let mut bytes = mutate(line.as_bytes(), &mut rng);
+            if rng.next().is_multiple_of(4) {
+                bytes = mutate(&bytes, &mut rng);
+            }
+            check_both_paths::<T>(label, &bytes);
+        }
+    }
+}
+
+#[test]
+fn byte_level_decode_agrees_with_str_decode_under_mutation() {
+    let values = categorical_values(48, 1024);
+    let small = |d: usize| categorical_values(48, d);
+    differential::<usize>(
+        "GRR",
+        &encoded_lines(&Grr::new(16, 1.0).unwrap(), &small(16), 1),
+        true,
+    );
+    differential::<OlhReport>(
+        "OLH",
+        &encoded_lines(&Olh::new(32, 1.0).unwrap(), &small(32), 2),
+        true,
+    );
+    for (d, seed) in [(70, 3), (1024, 4)] {
+        let oue = Oue::new(d, 1.0).unwrap();
+        differential::<OueReport>("OUE", &encoded_lines(&oue, &small(d), seed), true);
+    }
+    differential::<HrrReport>(
+        "HRR",
+        &encoded_lines(&Hrr::new(20, 1.0).unwrap(), &small(20), 5),
+        true,
+    );
+    for (d, seed) in [(4, 6), (1024, 7)] {
+        let oracle = AdaptiveOracle::new(d, 1.0).unwrap();
+        differential::<AdaptiveReport>("adaptive", &encoded_lines(&oracle, &small(d), seed), true);
+    }
+    let hh = HierarchicalHistogram::new(4, 1024, 1.0).unwrap();
+    differential::<HhReport>("HH", &encoded_lines(&hh, &values, 8), true);
+    let haar = HaarHrr::new(32, 1.0).unwrap();
+    differential::<HaarReport>("HaarHRR", &encoded_lines(&haar, &small(32), 9), true);
+    // f64 families keep the `str` decoder only.
+    let sw = SwMechanism::ems(1.0, 24).unwrap();
+    differential::<f64>("SW", &encoded_lines(&sw, &unit_values(48), 10), false);
+    let pm = Pm::new(1.0).unwrap();
+    differential::<f64>("PM", &encoded_lines(&pm, &signed_values(48), 11), false);
+    let hybrid = Hybrid::new(2.0).unwrap();
+    differential::<HybridReport>(
+        "Hybrid",
+        &encoded_lines(&hybrid, &signed_values(48), 12),
+        false,
+    );
 }
 
 /// Edge cases pinned while writing `docs/WIRE_FORMAT.md` — the spec
