@@ -763,17 +763,6 @@ impl WireReport for HrrReport {
         }
         Ok(HrrReport { row, bit })
     }
-
-    fn decode_canonical(line: &[u8]) -> Option<Self> {
-        let mut fields = Fields::new(line);
-        let row = fields.decimal()?;
-        let bit = match fields.next()? {
-            b"1" => 1,
-            b"-1" => -1,
-            _ => return None,
-        };
-        fields.is_done().then_some(HrrReport { row, bit })
-    }
 }
 
 impl WireReport for OueReport {
@@ -837,7 +826,7 @@ impl WireReport for AdaptiveReport {
             .ok_or_else(|| CoreError::Wire(format!("adaptive report needs a tag: {line:?}")))?;
         match kind {
             "g" => Ok(AdaptiveReport::Grr(parse_field(rest.trim(), "GRR value")?)),
-            "o" => Ok(AdaptiveReport::Olh(OlhReport::decode(rest)?)),
+            "o" => Ok(AdaptiveReport::Olh(OlhReport::decode_text(rest)?)),
             other => Err(CoreError::Wire(format!("unknown adaptive tag {other:?}"))),
         }
     }

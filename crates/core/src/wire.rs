@@ -8,8 +8,9 @@
 //! is what lets a replayed stream finalize to the bit-identical estimate.
 //!
 //! Decoding has two layers. [`WireReport::decode_text`] accepts each
-//! family's full grammar and produces every error. Integer-field families
-//! also implement [`WireReport::decode_canonical`], a byte-level decoder
+//! family's full grammar and produces every error. GRR, OLH, OUE,
+//! adaptive and HH reports also implement
+//! [`WireReport::decode_canonical`], a byte-level decoder
 //! built on [`Fields`] that accepts only the canonical form `encode` emits
 //! (single spaces, unsigned decimal without leading zeros, lowercase hex of
 //! at most 16 digits) and hands every other line to `decode_text`.

@@ -401,7 +401,7 @@ impl WireReport for HhReport {
             .ok_or_else(|| CoreError::Wire(format!("HH report needs a level: {line:?}")))?;
         Ok(HhReport {
             level: parse_field(level, "HH level")?,
-            report: AdaptiveReport::decode(rest)?,
+            report: AdaptiveReport::decode_text(rest)?,
         })
     }
 
@@ -425,15 +425,8 @@ impl WireReport for HaarReport {
             .ok_or_else(|| CoreError::Wire(format!("HaarHRR report needs a level: {line:?}")))?;
         Ok(HaarReport {
             level: parse_field(level, "HaarHRR level")?,
-            report: HrrReport::decode(rest)?,
+            report: HrrReport::decode_text(rest)?,
         })
-    }
-
-    fn decode_canonical(line: &[u8]) -> Option<Self> {
-        let mut fields = Fields::new(line);
-        let level = fields.decimal()?;
-        let report = HrrReport::decode_canonical(fields.rest()?)?;
-        Some(HaarReport { level, report })
     }
 }
 

@@ -172,7 +172,7 @@ fn malformed_wire_lines_are_rejected() {
 #[test]
 fn non_canonical_lines_still_decode() {
     fn same<T: WireReport + PartialEq + Debug>(canonical: &str, variants: &[&str]) {
-        let want = T::decode_canonical(canonical.as_bytes()).expect(canonical);
+        let want = T::decode(canonical).unwrap();
         for line in variants {
             assert_eq!(T::decode_canonical(line.as_bytes()), None, "{line:?}");
             assert_eq!(T::decode(line).unwrap(), want, "{line:?}");
@@ -352,10 +352,12 @@ fn byte_level_decode_agrees_with_str_decode_under_mutation() {
         let oue = Oue::new(d, 1.0).unwrap();
         differential::<OueReport>("OUE", &encoded_lines(&oue, &small(d), seed), true);
     }
+    // HRR and HaarHRR keep the `str` decoder only: no served workload
+    // carries them.
     differential::<HrrReport>(
         "HRR",
         &encoded_lines(&Hrr::new(20, 1.0).unwrap(), &small(20), 5),
-        true,
+        false,
     );
     for (d, seed) in [(4, 6), (1024, 7)] {
         let oracle = AdaptiveOracle::new(d, 1.0).unwrap();
@@ -364,7 +366,7 @@ fn byte_level_decode_agrees_with_str_decode_under_mutation() {
     let hh = HierarchicalHistogram::new(4, 1024, 1.0).unwrap();
     differential::<HhReport>("HH", &encoded_lines(&hh, &values, 8), true);
     let haar = HaarHrr::new(32, 1.0).unwrap();
-    differential::<HaarReport>("HaarHRR", &encoded_lines(&haar, &small(32), 9), true);
+    differential::<HaarReport>("HaarHRR", &encoded_lines(&haar, &small(32), 9), false);
     // f64 families keep the `str` decoder only.
     let sw = SwMechanism::ems(1.0, 24).unwrap();
     differential::<f64>("SW", &encoded_lines(&sw, &unit_values(48), 10), false);
