@@ -77,22 +77,70 @@ impl SmoothingKernel {
 
     /// In-place variant writing into `out` (must have the same length as
     /// `x`); avoids per-iteration allocation in the EMS loop.
+    ///
+    /// Where the whole kernel fits, every output is the full weighted sum
+    /// over the kernel's total weight; only the `radius` entries at each end
+    /// take the renormalized truncated window. Each output is summed in the
+    /// same order either way, so the result is the same bit for bit.
     pub fn smooth_into(&self, x: &[f64], out: &mut [f64]) {
         debug_assert_eq!(x.len(), out.len());
         let n = x.len();
-        let r = self.radius() as isize;
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            let mut wsum = 0.0;
-            for (k, &w) in self.weights.iter().enumerate() {
-                let idx = i as isize + k as isize - r;
-                if idx >= 0 && (idx as usize) < n {
-                    acc += w * x[idx as usize];
-                    wsum += w;
+        let width = self.weights.len();
+        if n < width {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = self.smooth_at(x, i);
+            }
+            return;
+        }
+        let r = self.radius();
+        let interior = &mut out[r..n - r];
+        match width {
+            3 => smooth_interior::<3>(&self.weights, x, interior),
+            5 => smooth_interior::<5>(&self.weights, x, interior),
+            _ => {
+                let wsum = self.weights.iter().fold(0.0, |s, &w| s + w);
+                for (o, window) in interior.iter_mut().zip(x.windows(width)) {
+                    let mut acc = 0.0;
+                    for (&w, &v) in self.weights.iter().zip(window) {
+                        acc += w * v;
+                    }
+                    *o = acc / wsum;
                 }
             }
-            *o = acc / wsum;
         }
+        for i in (0..r).chain(n - r..n) {
+            out[i] = self.smooth_at(x, i);
+        }
+    }
+
+    /// Output `i`: the kernel over the entries of `x` it covers, divided by
+    /// the weight of those entries.
+    fn smooth_at(&self, x: &[f64], i: usize) -> f64 {
+        let r = self.radius() as isize;
+        let mut acc = 0.0;
+        let mut wsum = 0.0;
+        for (k, &w) in self.weights.iter().enumerate() {
+            let idx = i as isize + k as isize - r;
+            if idx >= 0 && (idx as usize) < x.len() {
+                acc += w * x[idx as usize];
+                wsum += w;
+            }
+        }
+        acc / wsum
+    }
+}
+
+/// The interior of [`SmoothingKernel::smooth_into`] for a kernel of width
+/// `W`, unrolled so the compiler can keep the weights in registers.
+fn smooth_interior<const W: usize>(weights: &[f64], x: &[f64], out: &mut [f64]) {
+    let w: [f64; W] = weights.try_into().expect("kernel width is W");
+    let wsum = w.iter().fold(0.0, |s, &w| s + w);
+    for (o, window) in out.iter_mut().zip(x.windows(W)) {
+        let mut acc = 0.0;
+        for k in 0..W {
+            acc += w[k] * window[k];
+        }
+        *o = acc / wsum;
     }
 }
 
@@ -149,6 +197,32 @@ mod tests {
         assert!(SmoothingKernel::custom(vec![1.0, -2.0, 1.0]).is_err());
         assert!(SmoothingKernel::custom(vec![1.0, 2.0, 1.0]).is_ok());
         assert_eq!(SmoothingKernel::custom(vec![1.0]).unwrap().radius(), 0);
+    }
+
+    #[test]
+    fn interior_fast_path_matches_truncated_windows_bit_for_bit() {
+        let kernels = [
+            SmoothingKernel::binomial3(),
+            SmoothingKernel::binomial5(),
+            SmoothingKernel::custom(vec![0.3, 1.7, 2.9, 1.7, 0.3]).unwrap(),
+            SmoothingKernel::custom(vec![0.5, 1.1, 2.3, 3.7, 2.3, 1.1, 0.5]).unwrap(),
+        ];
+        let mut rng = ldp_numeric::SplitMix64::new(7);
+        for k in &kernels {
+            for n in (1..=9).chain([1024]) {
+                let mut x = vec![0.0; n];
+                rng.fill_f64(&mut x);
+                let fast = k.smooth(&x);
+                for (i, &y) in fast.iter().enumerate() {
+                    assert_eq!(
+                        y.to_bits(),
+                        k.smooth_at(&x, i).to_bits(),
+                        "{:?} n = {n} i = {i}",
+                        k.weights()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
