@@ -93,20 +93,13 @@ impl SmoothingKernel {
             return;
         }
         let r = self.radius();
-        let interior = &mut out[r..n - r];
-        match width {
-            3 => smooth_interior::<3>(&self.weights, x, interior),
-            5 => smooth_interior::<5>(&self.weights, x, interior),
-            _ => {
-                let wsum = self.weights.iter().fold(0.0, |s, &w| s + w);
-                for (o, window) in interior.iter_mut().zip(x.windows(width)) {
-                    let mut acc = 0.0;
-                    for (&w, &v) in self.weights.iter().zip(window) {
-                        acc += w * v;
-                    }
-                    *o = acc / wsum;
-                }
+        let wsum = self.weights.iter().fold(0.0, |s, &w| s + w);
+        for (o, window) in out[r..n - r].iter_mut().zip(x.windows(width)) {
+            let mut acc = 0.0;
+            for (&w, &v) in self.weights.iter().zip(window) {
+                acc += w * v;
             }
+            *o = acc / wsum;
         }
         for i in (0..r).chain(n - r..n) {
             out[i] = self.smooth_at(x, i);
@@ -127,20 +120,6 @@ impl SmoothingKernel {
             }
         }
         acc / wsum
-    }
-}
-
-/// The interior of [`SmoothingKernel::smooth_into`] for a kernel of width
-/// `W`, unrolled so the compiler can keep the weights in registers.
-fn smooth_interior<const W: usize>(weights: &[f64], x: &[f64], out: &mut [f64]) {
-    let w: [f64; W] = weights.try_into().expect("kernel width is W");
-    let wsum = w.iter().fold(0.0, |s, &w| s + w);
-    for (o, window) in out.iter_mut().zip(x.windows(W)) {
-        let mut acc = 0.0;
-        for k in 0..W {
-            acc += w[k] * window[k];
-        }
-        *o = acc / wsum;
     }
 }
 
